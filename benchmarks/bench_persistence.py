@@ -19,12 +19,26 @@ all-or-nothing save, and replicating storage grows per handle while
 intrinsic storage does not.
 
 Run:  pytest benchmarks/bench_persistence.py --benchmark-only
-      python benchmarks/bench_persistence.py     (prints the E3 table)
+      python benchmarks/bench_persistence.py [--quick]
+
+The script prints the E3 table — median latency of each model over
+repeated one-field changes, with quartiles — writes
+``BENCH_persistence.json``, and exits non-zero when the intrinsic commit
+is not faster than the replicating extern, or writes anything but the
+one changed object (``--quick``: fewer repeats, for CI).
 """
 
 import os
+import statistics
+import tempfile
+import time
 
 import pytest
+
+try:
+    from benchmarks._results import ResultsWriter, quick_requested
+except ImportError:
+    from _results import ResultsWriter, quick_requested
 
 from repro.persistence.allornothing import ImagePersistence
 from repro.persistence.heap import PObject
@@ -127,51 +141,95 @@ def test_intrinsic_storage_sharing(tmp_path):
     heap.close()
 
 
+MODELS = ("all-or-nothing save", "replicating extern", "intrinsic commit")
+
+
+def measure(tmp, repeats):
+    """Latencies of making a one-field change durable, per model.
+
+    Each model holds its own ``GRAPH_SIZE``-object graph; every round
+    changes one field of each graph and makes it durable, the models
+    interleaved so drift hits all three alike.  Returns the latencies
+    and the store bytes after the first change, both in ``MODELS``
+    order, and the set of object counts the intrinsic commits wrote.
+    """
+    image = ImagePersistence(os.path.join(tmp, "image"))
+    image_graph = build_graph()
+    image.save_image({"db": image_graph})
+    store = ReplicatingStore(os.path.join(tmp, "amber.log"))
+    store_graph = build_graph()
+    store.extern("db", Dynamic(store_graph, TOP))
+    heap = PersistentHeap(os.path.join(tmp, "heap.log"))
+    heap_graph = build_graph()
+    heap.root("db", heap_graph)
+    heap.commit()
+
+    def save():
+        image.save_image({"db": image_graph})
+
+    def extern():
+        store.extern("db", Dynamic(store_graph, TOP))
+
+    steps = ((image_graph, save), (store_graph, extern), (heap_graph, heap.commit))
+    times = [[] for __ in MODELS]
+    written = set()
+    for change in range(1, repeats + 1):
+        for (graph, durable), series in zip(steps, times):
+            graph["i"] = change
+            started = time.perf_counter()
+            outcome = durable()
+            series.append(time.perf_counter() - started)
+        written.add(outcome.objects_written)
+        if change == 1:
+            sizes = [
+                os.path.getsize(os.path.join(tmp, "image")),
+                store.storage_bytes(),
+                heap.storage_bytes(),
+            ]
+    store.close()
+    heap.close()
+    return times, sizes, written
+
+
 def main():
-    import tempfile
-    import time
-
+    quick = quick_requested()
+    writer = ResultsWriter("persistence", quick=quick)
+    repeats = 9 if quick else 31
     with tempfile.TemporaryDirectory() as tmp:
-        rows = []
+        times, sizes, written = measure(tmp, repeats)
 
-        image = ImagePersistence(os.path.join(tmp, "image"))
-        graph = build_graph()
-        image.save_image({"db": graph})
-        start = time.perf_counter()
-        graph["i"] = 1
-        image.save_image({"db": graph})
-        rows.append(("all-or-nothing save", time.perf_counter() - start,
-                     os.path.getsize(os.path.join(tmp, "image"))))
+    print("E3 — durability after a one-field change (%d-object graph, "
+          "median of %d)" % (GRAPH_SIZE, repeats))
+    print("%-22s %12s %12s %12s %16s" % (
+        "model", "median(s)", "q1(s)", "q3(s)", "bytes(1 change)"))
+    medians = []
+    for name, series, size in zip(MODELS, times, sizes):
+        q1, median, q3 = statistics.quantiles(series, n=4)
+        medians.append(median)
+        print("%-22s %12.6f %12.6f %12.6f %16d" % (name, median, q1, q3, size))
+        writer.record(
+            name.replace(" ", "_").replace("-", "_"), GRAPH_SIZE, median,
+            q1=q1, q3=q3, repeats=repeats, store_bytes=size,
+        )
+    print("\nintrinsic wrote %s changed object(s) per commit; the other"
+          % "/".join(str(n) for n in sorted(written)))
+    print("models rewrote the whole closure, as the paper's taxonomy predicts.")
+    print("results -> %s" % writer.write())
 
-        store = ReplicatingStore(os.path.join(tmp, "amber.log"))
-        graph = build_graph()
-        store.extern("db", Dynamic(graph, TOP))
-        start = time.perf_counter()
-        graph["i"] = 1
-        store.extern("db", Dynamic(graph, TOP))
-        rows.append(("replicating extern", time.perf_counter() - start,
-                     store.storage_bytes()))
-        store.close()
-
-        heap = PersistentHeap(os.path.join(tmp, "heap.log"))
-        graph = build_graph()
-        heap.root("db", graph)
-        heap.commit()
-        start = time.perf_counter()
-        graph["i"] = 1
-        stats = heap.commit()
-        rows.append(("intrinsic commit", time.perf_counter() - start,
-                     heap.storage_bytes()))
-        heap.close()
-
-        print("E3 — durability after a one-field change (%d-object graph)"
-              % GRAPH_SIZE)
-        print("%-24s %14s %14s" % ("model", "latency(s)", "store bytes"))
-        for name, latency, size in rows:
-            print("%-24s %14.6f %14d" % (name, latency, size))
-        print("\nintrinsic wrote %d changed object(s); the other models"
-              % stats.objects_written)
-        print("rewrote the whole closure, as the paper's taxonomy predicts.")
+    failures = []
+    if written != {1}:
+        failures.append("intrinsic commit wrote %s objects, not 1" % (written,))
+    __, replicating, intrinsic = medians
+    if intrinsic >= replicating:
+        failures.append(
+            "intrinsic commit (%.6fs) is not faster than the replicating"
+            " extern (%.6fs)" % (intrinsic, replicating)
+        )
+    if failures:
+        print("\nFAIL: " + "; ".join(failures))
+        raise SystemExit(1)
+    print("\nintrinsic commit beats the replicating extern %.1fx"
+          % (replicating / intrinsic))
 
 
 if __name__ == "__main__":

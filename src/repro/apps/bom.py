@@ -171,8 +171,11 @@ def roll_up_memoized(part: PObject, roll_up: RollUp = TOTAL_COST) -> RollUpResul
             value = roll_up.own_value(p)
             for sub_part, qty in components_of(p):
                 value += walk(sub_part) * qty
-        p[field] = value
+        # Mark first, then store: a write to a field already marked
+        # transient leaves the part's write stamp put, so a commit after
+        # the roll-up does not even re-encode the part.
         p.mark_transient(field)
+        p[field] = value
         return value
 
     value = walk(part)

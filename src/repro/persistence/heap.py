@@ -10,7 +10,7 @@ other PObjects (cycles included).
 Intrinsic persistence is defined by *reachability*: "every value in a
 program is persistent, however there is no need physically to retain
 storage for values for which all reference is lost."  :func:`reachable`
-computes the closure a commit must write — skipping fields marked
+computes the closure a commit makes durable — skipping fields marked
 *transient*, the paper's closing observation that "adding transient
 information to a persistent structure can be quite useful" (memoizing
 TotalCost without persisting the memo).
@@ -18,11 +18,17 @@ TotalCost without persisting the memo).
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set
 
 from repro.core.orders import Value
 from repro.errors import PersistenceError
 from repro.types.dynamic import Dynamic
+
+
+# One process-wide counter, so every heap holding an object sees its
+# changes: a heap remembers the stamp its stored copy matches.
+_next_stamp = itertools.count(1).__next__
 
 
 class PObject:
@@ -37,9 +43,21 @@ class PObject:
     An optional ``kind`` string names what the object models ("Part",
     "Car"); it is persisted and has no semantics beyond display and
     filtering.
+
+    **Write stamp.**  Every change to the object's *persistent view* —
+    setting or deleting a non-transient field, reassigning ``kind``,
+    marking a present field transient or clearing that mark — moves
+    :attr:`stamp` to a fresh value from one process-wide counter; a
+    write to a field already marked transient leaves it put.  An
+    intrinsic heap commit re-encodes only objects whose stamp moved, so
+    memoize the paper's way: mark the memo field transient *first*, then
+    store into it (set-then-mark stamps the object once and it is
+    re-encoded, though nothing new is written).  In-place changes to a
+    list, dict or set held in a field do not move the stamp; the heap
+    finds them at commit by comparing the containers' elements.
     """
 
-    __slots__ = ("kind", "_fields", "_transient")
+    __slots__ = ("_kind", "_fields", "_transient", "_stamp")
 
     def __init__(
         self,
@@ -47,9 +65,25 @@ class PObject:
         fields: Optional[Mapping[str, object]] = None,
         transient: Iterable[str] = (),
     ):
-        self.kind = kind
+        self._kind = kind
         self._fields: Dict[str, object] = dict(fields or {})
         self._transient: Set[str] = set(transient)
+        self._stamp = _next_stamp()
+
+    @property
+    def kind(self) -> str:
+        """What the object models; persisted."""
+        return self._kind
+
+    @kind.setter
+    def kind(self, kind: str) -> None:
+        self._kind = kind
+        self._stamp = _next_stamp()
+
+    @property
+    def stamp(self) -> int:
+        """The write stamp: moves on every change to the persistent view."""
+        return self._stamp
 
     # -- field access -------------------------------------------------------
 
@@ -63,6 +97,8 @@ class PObject:
 
     def __setitem__(self, field: str, value: object) -> None:
         self._fields[field] = value
+        if field not in self._transient:
+            self._stamp = _next_stamp()
 
     def __delitem__(self, field: str) -> None:
         try:
@@ -71,7 +107,10 @@ class PObject:
             raise PersistenceError(
                 "%s object has no field %r" % (self.kind, field)
             ) from None
-        self._transient.discard(field)
+        if field in self._transient:
+            self._transient.discard(field)
+        else:
+            self._stamp = _next_stamp()
 
     def __contains__(self, field: object) -> bool:
         return field in self._fields
@@ -92,12 +131,19 @@ class PObject:
 
     def mark_transient(self, *fields: str) -> None:
         """Mark fields as transient: visible in memory, never persisted."""
-        self._transient.update(fields)
+        for field in fields:
+            if field not in self._transient:
+                self._transient.add(field)
+                if field in self._fields:
+                    self._stamp = _next_stamp()
 
     def clear_transient(self, *fields: str) -> None:
         """Remove the transient mark (the fields become persistent)."""
         for field in fields:
-            self._transient.discard(field)
+            if field in self._transient:
+                self._transient.discard(field)
+                if field in self._fields:
+                    self._stamp = _next_stamp()
 
     @property
     def transient_fields(self) -> Set[str]:

@@ -18,12 +18,23 @@ And the practical caveats, all implemented here:
 * "PS-algol provides an explicit *commit* instruction.  Before this
   instruction is called, the persistent value and the value being used
   by the program can diverge" — :meth:`PersistentHeap.commit` writes the
-  reachable closure (changed objects only); :meth:`PersistentHeap.abort`
-  discards divergence and rematerializes the last committed state;
+  divergence; :meth:`PersistentHeap.abort` discards it and
+  rematerializes the last committed state;
 * unreachable objects are garbage-collected from the store at commit;
 * fields marked transient on a :class:`~repro.persistence.heap.PObject`
   never persist, even though the object does — the paper's closing
   memoization idiom.
+
+A commit costs what changed, not what is reachable.  The heap remembers,
+per stored object, the write stamp (:attr:`PObject.stamp
+<repro.persistence.heap.PObject.stamp>`) its stored entry matches and the
+elements of every list, dict and set in its persistent fields; per root,
+the bound value and its containers.  A commit re-encodes only objects
+whose stamp moved, whose containers changed, or that became reachable,
+and only roots whose binding or containers changed; whatever it
+re-encodes is still compared with the stored entry as canonical JSON, so
+only real changes are written.  The reachability sweep that collects
+garbage runs only when a re-encoded object or root dropped a reference.
 
 Unlike replicating persistence, sharing survives: two roots reaching the
 same object get the *same* object back after reopen, and an update
@@ -37,11 +48,12 @@ per-epoch version chains with snapshot-isolated transactions.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Set, Union
-
-import json
+from itertools import chain
+from operator import is_
+from typing import Dict, Iterator, List, Set, Tuple, Union
 
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
@@ -52,17 +64,33 @@ from repro.errors import (
     UnknownHandleError,
 )
 from repro.persistence.heap import PObject
-from repro.persistence.serialize import _Decoder, _Encoder
+from repro.persistence.serialize import _Decoder, _Encoder, _node_refs
 from repro.persistence.store import LogStore
+from repro.types.dynamic import Dynamic
 
 _ROOT_PREFIX = "root:"
 _OBJ_PREFIX = "obj:"
 _META_NEXT_OID = "meta:next_oid"
 
+# (container, its elements when last stored) for every list, dict and
+# set inside a value; dicts contribute keys and values, in order.
+_Snapshot = List[Tuple[object, tuple]]
+
+# Values that hold no container: PObjects are covered by their stamps.
+_LEAVES = frozenset((int, float, str, bool, type(None), PObject))
+
 
 @dataclass
 class CommitStats:
-    """What one commit did — the unit benchmark E3 measures."""
+    """What one commit did — the unit benchmark E3 measures.
+
+    ``roots_written`` counts the roots the committed state binds (the
+    store holds each one after the commit, whether or not its record had
+    to change); ``objects_written`` counts object records the commit
+    wrote, ``objects_unchanged`` the reachable objects whose stored
+    record already matched, ``objects_collected`` the stored objects
+    that lost all reference and were deleted.
+    """
 
     roots_written: int
     objects_written: int
@@ -75,29 +103,100 @@ class CommitStats:
         return self.objects_written + self.objects_unchanged
 
 
+def _canonical(node: object) -> str:
+    return json.dumps(node, sort_keys=True)
+
+
+def _drops_reference(old: object, new: object) -> bool:
+    """Does stored node ``old`` reference an oid that ``new`` does not?"""
+    before: Set[int] = set()
+    _node_refs(old, before)
+    if not before:
+        return False
+    after: Set[int] = set()
+    _node_refs(new, after)
+    return not before <= after
+
+
+def _snapshot(value: object, into: _Snapshot) -> None:
+    """Record every mutable container inside ``value`` with its elements.
+
+    Tuples, frozensets and Dynamics are searched but, being immutable,
+    not recorded; PObjects, domain values and scalars end the search.
+    """
+    if type(value) in _LEAVES:
+        return
+    if isinstance(value, (list, set)):
+        into.append((value, tuple(value)))
+        items = value
+    elif isinstance(value, dict):
+        into.append((value, tuple(chain.from_iterable(value.items()))))
+        items = value.values()
+    elif isinstance(value, (tuple, frozenset)):
+        items = value
+    elif isinstance(value, Dynamic):
+        items = (value.value,)
+    else:
+        return
+    for item in items:
+        _snapshot(item, into)
+
+
+def _unchanged(snapshot: _Snapshot) -> bool:
+    """Does every container still hold the same objects, in order?"""
+    for container, elements in snapshot:
+        if isinstance(container, dict):
+            if 2 * len(container) != len(elements) or not all(
+                map(is_, chain.from_iterable(container.items()), elements)
+            ):
+                return False
+        elif len(container) != len(elements) or not all(
+            map(is_, container, elements)
+        ):
+            return False
+    return True
+
+
 class _HeapEncoder(_Encoder):
-    """Encoder interning PObjects at heap-stable oids."""
+    """Encoder interning PObjects at heap-stable oids.
+
+    Queues every object it meets that the store does not hold yet: the
+    commit must encode whatever became reachable.
+    """
 
     def __init__(self, heap: "PersistentHeap"):
         super().__init__(include_transient=False)
         self._heap = heap
-        self.touched: Dict[int, PObject] = {}
+        self.queue: List[Tuple[int, PObject]] = []
+        self._queued: Set[int] = set()
 
     def _intern(self, obj: PObject) -> int:
         oid = self._heap._ensure_oid(obj)
-        self.touched[oid] = obj
+        if oid not in self._heap._stamps:
+            self.enqueue(oid, obj)
         return oid
+
+    def enqueue(self, oid: int, obj: PObject) -> None:
+        """Add ``obj`` to the objects this commit encodes (once)."""
+        if oid not in self._queued:
+            self._queued.add(oid)
+            self.queue.append((oid, obj))
 
 
 class _HeapDecoder(_Decoder):
-    """Decoder resolving object references through the heap."""
+    """Decoder resolving object references through the heap.
+
+    Built per load and then dropped: a decoder kept on the heap would
+    point back at it, and the heap could then only be freed by a
+    cyclic-GC pass.
+    """
 
     def __init__(self, heap: "PersistentHeap"):
         super().__init__({})
         self._heap = heap
 
     def _object(self, oid: int) -> PObject:
-        return self._heap._materialize(oid)
+        return self._heap._materialize(oid, self)
 
 
 class Namespace:
@@ -171,9 +270,15 @@ class PersistentHeap:
         self._oid_by_id: Dict[int, int] = {}
         self._obj_by_oid: Dict[int, PObject] = {}
         self._next_oid = 0
-        self._last_written: Dict[int, str] = {}
+        # What the store holds, as of the last commit (or the load): per
+        # stored oid the stamp its entry matches, the containers of the
+        # objects holding any, and per root key the bound value and its
+        # containers.  Orphans are stored objects no root reached at load.
+        self._stamps: Dict[int, int] = {}
+        self._snapshots: Dict[int, _Snapshot] = {}
+        self._root_state: Dict[str, Tuple[object, _Snapshot]] = {}
+        self._orphans: List[int] = []
         self._namespaces: Dict[str, Dict[str, object]] = {}
-        self._decoder = _HeapDecoder(self)
         self._load()
 
     # -- namespaces -------------------------------------------------------------
@@ -212,7 +317,7 @@ class PersistentHeap:
             self._obj_by_oid[oid] = obj
         return oid
 
-    def _materialize(self, oid: int) -> PObject:
+    def _materialize(self, oid: int, decoder: _HeapDecoder) -> PObject:
         obj = self._obj_by_oid.get(oid)
         if obj is not None:
             return obj
@@ -225,39 +330,61 @@ class PersistentHeap:
         self._obj_by_oid[oid] = obj
         self._oid_by_id[id(obj)] = oid
         for name, node in entry.get("fields", {}).items():
-            obj[name] = self._decoder.decode(node)
+            obj[name] = decoder.decode(node)
         obj.mark_transient(*entry.get("transient", []))
+        snapshot: _Snapshot = []
+        for value in obj.persistent_fields().values():
+            _snapshot(value, snapshot)
+        self._track(oid, obj.stamp, snapshot)
         return obj
+
+    def _track(self, oid: int, stamp: int, snapshot: _Snapshot) -> None:
+        """Record that the stored entry of ``oid`` matches this state."""
+        self._stamps[oid] = stamp
+        if snapshot:
+            self._snapshots[oid] = snapshot
+        else:
+            self._snapshots.pop(oid, None)
 
     # -- load / commit / abort ---------------------------------------------------------
 
     def _load(self) -> None:
         meta = self._store.get(_META_NEXT_OID)
-        self._next_oid = int(meta) if meta is not None else 0
+        stored: List[int] = []
+        decoder = _HeapDecoder(self)
         for key in list(self._store.keys()):
-            if not key.startswith(_ROOT_PREFIX):
-                continue
-            __, ns_name, root_name = key.split(":", 2)
-            node = self._store.get(key)
-            roots = self._namespaces.setdefault(ns_name, {})
-            roots[root_name] = self._decoder.decode(node)
-        # Remember what is already on disk so unchanged objects skip rewrite.
-        for key in self._store.keys():
             if key.startswith(_OBJ_PREFIX):
-                oid = int(key[len(_OBJ_PREFIX):])
-                self._last_written[oid] = json.dumps(
-                    self._store.get(key), sort_keys=True
-                )
+                stored.append(int(key[len(_OBJ_PREFIX):]))
+            elif key.startswith(_ROOT_PREFIX):
+                __, ns_name, root_name = key.split(":", 2)
+                value = decoder.decode(self._store.get(key))
+                self._namespaces.setdefault(ns_name, {})[root_name] = value
+                snapshot: _Snapshot = []
+                _snapshot(value, snapshot)
+                self._root_state[key] = (value, snapshot)
+        # Decoding the roots materialized everything they reach; a stored
+        # object left over is garbage the next commit collects.
+        self._orphans = [oid for oid in stored if oid not in self._stamps]
+        self._next_oid = max(
+            int(meta) if meta is not None else 0,
+            max(stored, default=-1) + 1,
+        )
 
     def commit(self) -> CommitStats:
         """Make the current state durable.
 
-        Encodes every root, writes the reachable object closure (changed
-        objects only), garbage-collects store objects no longer
-        reachable, and syncs.  Returns :class:`CommitStats`.  Commit
-        latency and write/skip/collect counts land in the global metrics
-        registry (``heap.commit.seconds``, ``heap.*``); with tracing on
-        the whole commit is one ``heap.commit`` span with the store's
+        Writes what diverged since the last commit: objects whose stamp
+        moved or whose lists, dicts or sets changed in place, objects
+        that became reachable, and roots whose binding or containers
+        changed — each only if its canonical encoding differs from the
+        stored one.  When a rewritten object or root dropped a reference,
+        a reachability sweep garbage-collects the stored objects nothing
+        reaches any more.  The whole commit is one atomic store batch,
+        synced once; a commit with nothing to write appends nothing.
+        Returns :class:`CommitStats`.  Commit latency and
+        write/skip/collect counts land in the global metrics registry
+        (``heap.commit.seconds``, ``heap.*``); with tracing on the whole
+        commit is one ``heap.commit`` span with the store's
         ``store.commit`` span nested inside.
         """
         started = time.perf_counter()
@@ -276,8 +403,8 @@ class PersistentHeap:
         registry.histogram("heap.commit.seconds").observe(
             time.perf_counter() - started
         )
-        # Audit trail: each commit records the size of its reachability
-        # sweep and what the sweep decided, so a journal export shows the
+        # Audit trail: each commit records the size of the reachable
+        # graph and what the commit decided, so a journal export shows the
         # heap's promotion/collection history over the whole run.
         if _events.CURRENT.enabled:
             _events.CURRENT.publish(
@@ -291,72 +418,156 @@ class PersistentHeap:
         return stats
 
     def _commit_inner(self) -> CommitStats:
+        store = self._store
         encoder = _HeapEncoder(self)
-        root_nodes: Dict[str, object] = {}
-        for ns_name, roots in self._namespaces.items():
-            for root_name, value in roots.items():
-                try:
-                    node = encoder.encode(value)
-                except RecursionError:
-                    raise PersistenceError(
-                        "value graph too deep to persist"
-                    ) from None
-                root_nodes["%s%s:%s" % (_ROOT_PREFIX, ns_name, root_name)] = node
+        bound: Set[str] = set()
+        # key -> (value, containers, node) for roots to re-encode.
+        roots: Dict[str, Tuple[object, _Snapshot, object]] = {}
+        # oid -> (stamp, containers, entry) for objects to re-encode.
+        objects: Dict[int, Tuple[int, _Snapshot, dict]] = {}
+        try:
+            for ns_name, table in self._namespaces.items():
+                for root_name, value in table.items():
+                    key = "%s%s:%s" % (_ROOT_PREFIX, ns_name, root_name)
+                    bound.add(key)
+                    state = self._root_state.get(key)
+                    if (state is not None and state[0] is value
+                            and _unchanged(state[1])):
+                        continue
+                    snapshot: _Snapshot = []
+                    _snapshot(value, snapshot)
+                    roots[key] = (value, snapshot, encoder.encode(value))
 
-        # Drain the worklist: encoding an object's fields may touch more.
-        entries: Dict[int, Dict[str, object]] = {}
-        while True:
-            pending = [oid for oid in encoder.touched if oid not in entries]
-            if not pending:
-                break
-            for oid in pending:
-                obj = encoder.touched[oid]
-                entries[oid] = {
+            # The slot, not the property: this runs over every stored object.
+            by_oid = self._obj_by_oid
+            for oid, stamp in self._stamps.items():
+                if by_oid[oid]._stamp != stamp:
+                    encoder.enqueue(oid, by_oid[oid])
+            for oid, snapshot in self._snapshots.items():
+                if not _unchanged(snapshot):
+                    encoder.enqueue(oid, by_oid[oid])
+
+            # Encoding an object may queue more: the newly reachable.
+            for oid, obj in encoder.queue:
+                stamp = obj.stamp
+                fields = obj.persistent_fields()
+                snapshot = []
+                for value in fields.values():
+                    _snapshot(value, snapshot)
+                entry = {
                     "kind": obj.kind,
                     "fields": {
                         name: encoder.encode(value)
-                        for name, value in sorted(obj.persistent_fields().items())
+                        for name, value in sorted(fields.items())
                     },
                 }
+                objects[oid] = (stamp, snapshot, entry)
+        except RecursionError:
+            raise PersistenceError("value graph too deep to persist") from None
 
-        reachable_oids: Set[int] = set(entries)
-        written = unchanged = 0
-        collected = 0
+        # Compare what was re-encoded with what is stored.  A reference
+        # an object or root no longer holds may have been the last one.
+        sweep = False
+        changed: Dict[str, object] = {}
+        for oid, (__, __, entry) in objects.items():
+            key = _OBJ_PREFIX + str(oid)
+            old = store.get(key)
+            if old is not None:
+                if _canonical(old) == _canonical(entry):
+                    continue
+                sweep = sweep or _drops_reference(old, entry)
+            changed[key] = entry
+        dropped = [key for key in self._root_state if key not in bound]
+        for key, (__, __, node) in roots.items():
+            old = store.get(key)
+            if old is not None:
+                if _canonical(old) == _canonical(node):
+                    continue
+                sweep = sweep or _drops_reference(old, node)
+            changed[key] = node
+        for key in dropped:
+            sweep = sweep or _drops_reference(store.get(key), None)
+
+        collected: List[int] = list(self._orphans)
+        if sweep:
+            live = self._reachable(bound, roots, objects)
+            collected.extend(oid for oid in self._stamps if oid not in live)
+            for oid in list(objects):
+                if oid not in live:
+                    del objects[oid]
+                    changed.pop(_OBJ_PREFIX + str(oid), None)
+
         # The whole commit is one atomic batch: a crash mid-commit
         # replays as if the commit never happened (PS-algol's promise).
-        with self._store.batch():
-            for oid, entry in entries.items():
-                canonical = json.dumps(entry, sort_keys=True)
-                if self._last_written.get(oid) == canonical:
-                    unchanged += 1
-                    continue
-                self._store.put(_OBJ_PREFIX + str(oid), entry)
-                self._last_written[oid] = canonical
-                written += 1
+        # A batch with nothing in it appends nothing and does not sync.
+        with store.batch():
+            for key, node in changed.items():
+                store.put(key, node)
+            for oid in collected:
+                store.delete(_OBJ_PREFIX + str(oid))
+            for key in dropped:
+                store.delete(key)
+            meta = store.get(_META_NEXT_OID)
+            if (int(meta) if meta is not None else 0) != self._next_oid:
+                store.put(_META_NEXT_OID, self._next_oid)
 
-            # Garbage-collect store objects that lost all reference.
-            for key in list(self._store.keys()):
-                if key.startswith(_OBJ_PREFIX):
-                    oid = int(key[len(_OBJ_PREFIX):])
-                    if oid not in reachable_oids:
-                        self._store.delete(key)
-                        self._last_written.pop(oid, None)
-                        collected += 1
-
-            # Rewrite roots (and remove dropped ones).
-            for key in list(self._store.keys()):
-                if key.startswith(_ROOT_PREFIX) and key not in root_nodes:
-                    self._store.delete(key)
-            for key, node in root_nodes.items():
-                self._store.put(key, node)
-
-            self._store.put(_META_NEXT_OID, self._next_oid)
+        written = sum(1 for key in changed if key.startswith(_OBJ_PREFIX))
+        for oid, (stamp, snapshot, __) in objects.items():
+            self._track(oid, stamp, snapshot)
+        for oid in collected:
+            self._stamps.pop(oid, None)
+            self._snapshots.pop(oid, None)
+        self._orphans = []
+        for key in dropped:
+            del self._root_state[key]
+        for key, (value, snapshot, __) in roots.items():
+            self._root_state[key] = (value, snapshot)
+        self._release_unstored()
         return CommitStats(
-            roots_written=len(root_nodes),
+            roots_written=len(bound),
             objects_written=written,
-            objects_unchanged=unchanged,
-            objects_collected=collected,
+            objects_unchanged=len(self._stamps) - written,
+            objects_collected=len(collected),
         )
+
+    def _reachable(
+        self,
+        bound: Set[str],
+        roots: Dict[str, Tuple[object, _Snapshot, object]],
+        objects: Dict[int, Tuple[int, _Snapshot, dict]],
+    ) -> Set[int]:
+        """The oids the bound roots reach after this commit: through the
+        re-encoded nodes where there are any, the stored ones elsewhere."""
+        pending: Set[int] = set()
+        for key in bound:
+            _node_refs(
+                roots[key][2] if key in roots else self._store.get(key), pending
+            )
+        live: Set[int] = set()
+        while pending:
+            oid = pending.pop()
+            live.add(oid)
+            if oid in objects:
+                entry = objects[oid][2]
+            else:
+                entry = self._store.get(_OBJ_PREFIX + str(oid))
+                if entry is None:
+                    raise StoreCorruptError("dangling object reference %d" % oid)
+            found: Set[int] = set()
+            _node_refs(entry, found)
+            pending |= found - live
+        return live
+
+    def _release_unstored(self) -> None:
+        """Forget objects the store does not hold: those a commit
+        collected, and any given an oid by a commit that then failed.
+        Both maps together — a stale oid left under a reused ``id()``
+        would be handed to a different object."""
+        if len(self._obj_by_oid) == len(self._stamps):
+            return
+        for oid in [oid for oid in self._obj_by_oid if oid not in self._stamps]:
+            obj = self._obj_by_oid.pop(oid)
+            self._oid_by_id.pop(id(obj), None)
 
     def abort(self) -> None:
         """Discard uncommitted divergence; reload the committed state.
@@ -366,7 +577,9 @@ class PersistentHeap:
         """
         self._oid_by_id.clear()
         self._obj_by_oid.clear()
-        self._last_written.clear()
+        self._stamps.clear()
+        self._snapshots.clear()
+        self._root_state.clear()
         # Clear the root tables in place: Namespace wrappers handed out
         # earlier keep referring to the same dicts and thus observe the
         # reloaded (committed) bindings.

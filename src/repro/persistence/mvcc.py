@@ -59,7 +59,7 @@ from repro.errors import (
 )
 from repro.persistence.heap import PObject
 from repro.persistence.intrinsic import CommitStats, Namespace
-from repro.persistence.serialize import _Decoder, _Encoder
+from repro.persistence.serialize import _Decoder, _Encoder, _node_refs
 from repro.persistence.store import LogStore
 
 _VER_PREFIX = "ver:"
@@ -110,19 +110,6 @@ class _TxnNamespace(Namespace):
         return value
 
 
-def _node_refs(node: object, into: Set[int]) -> None:
-    """Collect every ``["ref", oid]`` occurrence inside a stored node."""
-    if isinstance(node, list):
-        if len(node) == 2 and node[0] == "ref" and isinstance(node[1], int):
-            into.add(node[1])
-            return
-        for item in node:
-            _node_refs(item, into)
-    elif isinstance(node, dict):
-        for item in node.values():
-            _node_refs(item, into)
-
-
 class _TxnEncoder(_Encoder):
     """Encoder interning PObjects at the transaction's private oids."""
 
@@ -145,7 +132,7 @@ class _TxnDecoder(_Decoder):
         self._txn = txn
 
     def _object(self, oid: int) -> PObject:
-        return self._txn._materialize(oid)
+        return self._txn._materialize(oid, self)
 
 
 class MVCCHeap:
@@ -387,7 +374,6 @@ class HeapTransaction:
         # conflict detection).
         self._base_canonical: Dict[int, str] = {}
         self._root_canonical: Dict[str, str] = {}
-        self._decoder = _TxnDecoder(self)
         self._namespaces: Dict[str, Dict[str, object]] = {}
         self._load_roots()
 
@@ -401,7 +387,9 @@ class HeapTransaction:
             self._root_canonical[key] = json.dumps(node, sort_keys=True)
 
     def _resolve_root(self, ns_name: str, root_name: str, lazy: _LazyRoot):
-        value = self._decoder.decode(lazy.node)
+        # A decoder per resolution, never kept: one held on the
+        # transaction would point back at it and make a cycle.
+        value = _TxnDecoder(self).decode(lazy.node)
         roots = self._namespaces[ns_name]
         # Replace only if still the same lazy binding (the program may
         # have rebound the root between lookup and resolution).
@@ -409,7 +397,7 @@ class HeapTransaction:
             roots[root_name] = value
         return value
 
-    def _materialize(self, oid: int) -> PObject:
+    def _materialize(self, oid: int, decoder: _TxnDecoder) -> PObject:
         obj = self._obj_by_oid.get(oid)
         if obj is not None:
             return obj
@@ -426,7 +414,7 @@ class HeapTransaction:
         self._oid_by_id[id(obj)] = oid
         self._base_canonical[oid] = json.dumps(entry, sort_keys=True)
         for name, node in entry.get("fields", {}).items():
-            obj[name] = self._decoder.decode(node)
+            obj[name] = decoder.decode(node)
         obj.mark_transient(*entry.get("transient", []))
         return obj
 

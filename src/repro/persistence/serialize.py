@@ -28,7 +28,7 @@ The wire format is JSON-compatible (nested lists/dicts of scalars):
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 from repro.core.orders import Atom, PartialRecord, Value
 from repro.errors import SerializationError
@@ -267,6 +267,19 @@ def serialize(
         except Exception:
             document["type"] = None  # PObject graphs have no domain type
     return document
+
+
+def _node_refs(node: Node, into: Set[int]) -> None:
+    """Collect every ``["ref", oid]`` occurrence inside a stored node."""
+    if isinstance(node, list):
+        if len(node) == 2 and node[0] == "ref" and isinstance(node[1], int):
+            into.add(node[1])
+            return
+        for item in node:
+            _node_refs(item, into)
+    elif isinstance(node, dict):
+        for item in node.values():
+            _node_refs(item, into)
 
 
 class _Decoder:

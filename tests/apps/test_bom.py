@@ -1,5 +1,7 @@
 """Unit tests for the bill-of-materials application."""
 
+import os
+
 import pytest
 
 from repro.apps.bom import (
@@ -132,10 +134,14 @@ class TestTransientMemo:
         part = dag_explosion(4)
         heap.root("catalog", part)
         heap.commit()
+        size = os.path.getsize(path)
         roll_up_memoized(part, TOTAL_COST)
         stats = heap.commit()
         # Parts already persisted and memos are transient: nothing changed.
         assert stats.objects_written == 0
+        # The memo is marked transient before it is stored, so no part is
+        # even re-encoded, and the commit appends nothing.
+        assert os.path.getsize(path) == size
         heap.close()
         reopened = PersistentHeap(path).get_root("catalog")
         assert "_TotalCost" not in reopened
