@@ -123,13 +123,12 @@ def main():
     # Force a slow capture so the artifacts carry real entries: with
     # the threshold at 0 every query is "slow", and EXPLAIN ANALYZE
     # contributes the drift column.
-    _slowlog.set_threshold(0.0)
+    log = _slowlog.enable(threshold_ms=0.0)
     catalog = Catalog(make_catalog(size))
     catalog.create_index("emp", "Salary")
     exemplar = optimize(star_query(), catalog)
     explain_analyze(exemplar, catalog)
     exemplar.execute(catalog)
-    log = _slowlog.get_slowlog()
     print("\n%s" % log.report())
 
     print("\nhealth after the run:")

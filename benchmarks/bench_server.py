@@ -165,19 +165,20 @@ def tracing_overhead(host, port, queries, writer, quick, failures):
 
         off_seconds = batch()
         client.stat("trace", action="on")
-        tracer = _trace.enable()  # client-side round-trip spans
+        _trace.enable()  # client-side round-trip spans
         on_seconds = batch()
         remote = client.obs("spans")
         offset = client.clock_offset or 0.0
-        client.stat("trace", action="off")
-        _trace.disable()
-
+        # Export before switching tracing off: disable() drops the
+        # client-side spans the merged trace's client lane is made of.
         merged_path = os.path.join(
             os.getcwd(), "BENCH_server.merged.trace.json"
         )
         document = _export.write_merged_trace(
-            merged_path, tracer=tracer, remote=remote, clock_offset=offset
+            merged_path, remote=remote, clock_offset=offset
         )
+        client.stat("trace", action="off")
+        _trace.disable()
         ratio = on_seconds / off_seconds if off_seconds else 1.0
         writer.record(
             "tracing_off", queries, off_seconds,

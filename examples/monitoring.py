@@ -57,7 +57,7 @@ def main():
           % (len(mon.windows()), 5 * len(statuses)))
 
     # -- 3. trip the slow-query log ---------------------------------------
-    slowlog.set_threshold(0.0)  # every query is now "slow"
+    slowlog.enable(threshold_ms=0.0)  # every query is now "slow"
     slow_plan = optimize(orders_query("failed"), catalog)
     print(explain_analyze(slow_plan, catalog))
     slow_plan.execute(catalog)

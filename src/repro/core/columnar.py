@@ -29,12 +29,12 @@ whole arrays at a time:
 
 Like the tracer, the journal, and adaptive estimation, the engine is
 process-global and **off by default**: :func:`enable` flips the
-:data:`COLUMNAR` switch (the REPL's ``:columnar on``), and
-``Catalog(columnar=False)`` is the per-catalog escape hatch.  The
-planner hook lives in :mod:`repro.core.query` (``ColumnarExec``); this
-module knows nothing about plans — only arrays, selection vectors, and
-the kernels over them, each property-pinned to the row-at-a-time
-oracle by the Hypothesis suite in ``tests/core/test_columnar.py``.
+:data:`COLUMNAR` switch (the REPL's ``:columnar on``), its only switch
+— there is no per-catalog one.  The planner hook lives in
+:mod:`repro.core.query` (``ColumnarExec``); this module knows nothing
+about plans — only arrays, selection vectors, and the kernels over
+them, each property-pinned to the row-at-a-time oracle by the
+Hypothesis suite in ``tests/core/test_columnar.py``.
 
 Scan conversions are cached per relation *object* (``id``-keyed, with
 a weakref that evicts the entry when the relation is collected), so

@@ -146,11 +146,9 @@ class Catalog:
     feedback is still *recorded*, just never applied to this catalog's
     plans.
 
-    ``columnar`` is the matching escape hatch for vectorized execution
-    (:mod:`repro.core.columnar`): with the process-global switch
-    enabled, a catalog built with ``columnar=False`` keeps every plan
-    row-at-a-time — the optimizer never plants ``ColumnarExec`` nodes
-    over its relations.
+    Vectorized execution (:mod:`repro.core.columnar`) has no
+    per-catalog switch: the process-global one alone decides whether
+    the optimizer plants ``ColumnarExec`` nodes.
     """
 
     def __init__(
@@ -159,7 +157,6 @@ class Catalog:
         auto_analyze: bool = False,
         reanalyze_threshold: Optional[int] = 1,
         adaptive: bool = True,
-        columnar: bool = True,
     ):
         self._relations: Dict[str, FlatRelation] = {}
         self._indexes: Dict[Tuple[str, str], SortedIndex] = {}
@@ -168,7 +165,6 @@ class Catalog:
         self._auto_analyze = auto_analyze
         self.reanalyze_threshold = reanalyze_threshold
         self.adaptive = adaptive
-        self.columnar = columnar
         for name, relation in (relations or {}).items():
             self.bind(name, relation)
 

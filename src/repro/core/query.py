@@ -619,7 +619,7 @@ def optimize(plan: Plan, catalog, refresh_stats: bool = True) -> Plan:
     plan = _use_indexes(plan, catalog)
     plan = _order_joins(plan, catalog)
     plan = _push_projections(plan, catalog, needed=None)
-    if _columnar_live(catalog):
+    if _columnar.COLUMNAR.enabled:
         plan = _lower_columnar(plan, catalog)
     if _events.CURRENT.enabled:
         names: set = set()
@@ -888,17 +888,6 @@ def _maybe_project(plan: Plan, needed, schema) -> Plan:
 # Predicate operators the vectorized filter kernel implements; a Select
 # using anything else keeps its subtree row-at-a-time.
 _COLUMNAR_OPS = frozenset(("==", "!=", "<", "<=", ">", ">=", "attr=="))
-
-
-def _columnar_live(catalog) -> bool:
-    """Is columnar lowering applicable to this catalog right now?
-
-    The same two gates as adaptive estimation: the process-global
-    switch (:data:`repro.core.columnar.COLUMNAR`) and the catalog's own
-    ``columnar`` flag (absent on plain dicts — treated as opted in, so
-    the global switch alone governs them).
-    """
-    return _columnar.COLUMNAR.enabled and getattr(catalog, "columnar", True)
 
 
 def _columnar_eligible(plan: Plan) -> bool:

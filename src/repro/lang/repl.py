@@ -382,13 +382,13 @@ class Repl:
         if argument in ("on", "off"):
             self._stat(lambda b: b.stat("events", action=argument))
             return
-        count = 20
-        if argument:
-            try:
-                count = int(argument)
-            except ValueError:
-                self._write("usage: :events [n] | :events on|off")
-                return
+        try:
+            count = int(argument) if argument else 20
+        except ValueError:
+            count = 0
+        if count < 1:
+            self._write("usage: :events [n] | :events on|off")
+            return
         self._stat(
             lambda b: b.stat("events", action="show", count=count),
             per_line=True,

@@ -3,8 +3,8 @@
 The flight recorder has four complementary instruments:
 
 * :mod:`repro.obs.trace` — nestable wall-clock spans behind a
-  process-global tracer that defaults to a no-op singleton (one
-  attribute check when disabled);
+  process-global tracer that starts off (one attribute check when
+  disabled);
 * :mod:`repro.obs.metrics` — always-on, thread-safe named counters,
   gauges, and latency histograms with a JSON-able ``snapshot()``;
 * :mod:`repro.obs.events` — a bounded, thread-safe structured event
@@ -37,6 +37,12 @@ intrinsic heap's commit, the replicating extern/intern path), the
 generalized-relation hot spots, and the DBPL evaluator/REPL all record
 here, so the ROADMAP's "fast as the hardware allows" goal is measurable
 instead of asserted.
+
+Each switchable instrument — tracer, journal, profiler, slow-query log,
+monitor — is one object per process, its module's ``CURRENT``: built at
+import, never rebound, off until the module's ``enable()`` flips its
+``enabled`` flag.  While off it records nothing and reads empty;
+``disable()`` drops what it recorded.
 """
 
 from repro.obs.metrics import (
@@ -49,33 +55,26 @@ from repro.obs.metrics import (
     reset_metrics,
 )
 from repro.obs.trace import (
-    NOOP,
-    NoOpTracer,
     Span,
     Tracer,
     current_request_id,
     disable,
     enable,
-    get_tracer,
     set_request_id,
-    set_tracer,
     span,
 )
 from repro.obs.events import (
     Event,
     EventJournal,
-    NoOpJournal,
     publish,
 )
 from repro.obs.profile import (
-    NoOpProfiler,
     OpProfile,
     Profiler,
     profile_report,
 )
 from repro.obs.monitor import (
     HealthProbe,
-    NoOpMonitor,
     ProbeResult,
     TimeSeriesRegistry,
     Window,
@@ -88,7 +87,6 @@ from repro.obs.monitor import (
     write_metrics_snapshot,
 )
 from repro.obs.slowlog import (
-    NoOpSlowLog,
     SlowLog,
     SlowQueryEntry,
     slowlog_report,
@@ -106,27 +104,20 @@ __all__ = [
     "REGISTRY",
     "get_metrics",
     "reset_metrics",
-    "NOOP",
-    "NoOpTracer",
     "Span",
     "Tracer",
     "current_request_id",
     "disable",
     "enable",
-    "get_tracer",
     "set_request_id",
-    "set_tracer",
     "span",
     "Event",
     "EventJournal",
-    "NoOpJournal",
     "publish",
-    "NoOpProfiler",
     "OpProfile",
     "Profiler",
     "profile_report",
     "HealthProbe",
-    "NoOpMonitor",
     "ProbeResult",
     "TimeSeriesRegistry",
     "Window",
@@ -137,7 +128,6 @@ __all__ = [
     "parse_openmetrics",
     "render_openmetrics",
     "write_metrics_snapshot",
-    "NoOpSlowLog",
     "SlowLog",
     "SlowQueryEntry",
     "slowlog_report",

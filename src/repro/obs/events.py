@@ -16,11 +16,19 @@ layers publish into:
   written/collected object counts;
 * ``replicating`` — extern/intern round-trip fingerprints, and WARN
   events for divergent re-interns (the paper's update anomaly);
-* ``image``       — all-or-nothing saves and resumes.
+* ``image``       — all-or-nothing saves and resumes;
+* ``txn``         — MVCC transaction begins, commits, conflicts,
+  aborts, and vacuums;
+* ``slowlog``     — WARN events for queries over the slow threshold;
+* ``health``      — WARN events for probes that are not ok;
+* ``server``      — listening, sessions opening and closing, rejected
+  connections, idle timeouts, per-request and transaction events,
+  shutdown.
 
-The journal is off by default (:data:`CURRENT` is the no-op
-singleton).  Call sites guard on one attribute check and pay **zero
-allocations** while disabled::
+The process-global journal :data:`CURRENT` is built once at import,
+starts off, and is never rebound: :func:`enable` and :func:`disable`
+flip its ``enabled`` flag.  Call sites guard on that one attribute
+check and pay **zero allocations** while it is off::
 
     if _events.CURRENT.enabled:
         _events.publish("WARN", "store", "torn_record", line=42)
@@ -50,12 +58,8 @@ __all__ = [
     "SEVERITIES",
     "Event",
     "EventJournal",
-    "NoOpJournal",
     "ScopedJournal",
-    "NOOP",
     "CURRENT",
-    "get_journal",
-    "set_journal",
     "enable",
     "disable",
     "publish",
@@ -152,6 +156,10 @@ class EventJournal:
     is the evicted count.  A single lock serializes publishes and
     snapshot reads — events are published at per-operation (not
     per-row) granularity, so contention is negligible.
+
+    ``enabled`` is the on/off flag (on for a journal you construct, off
+    for :data:`CURRENT` until :func:`enable`).  While off,
+    :meth:`publish` records nothing and returns ``None``.
     """
 
     enabled = True
@@ -169,20 +177,24 @@ class EventJournal:
 
     def publish(
         self, severity: str, subsystem: str, name: str, **payload: object
-    ) -> Event:
-        """Record one event; returns it.
+    ) -> Optional[Event]:
+        """Record one event; returns it (``None`` while off).
 
         ``severity`` must be one of :data:`SEVERITIES`.  WARN and ERROR
         events additionally count into the metrics registry
         (``events.warnings`` / ``events.errors``) so anomaly totals
         survive ring eviction.
         """
+        if not self.enabled:
+            return None
         if severity not in _RANK:
             raise ValueError("unknown severity %r" % (severity,))
         event = Event(
             0, self._clock(), self._mono(), severity, subsystem, name, payload
         )
         with self._lock:
+            if not self.enabled:  # switched off while this call ran
+                return None
             event.seq = self.total
             self.total += 1
             if len(self._ring) < self.capacity:
@@ -204,9 +216,9 @@ class EventJournal:
     ) -> List[Event]:
         """The retained events in publication order.
 
-        ``n`` keeps only the most recent *n* (after filtering);
-        ``severity`` is a *minimum* (``"WARN"`` keeps WARN and ERROR);
-        ``subsystem`` filters exactly.
+        ``n`` keeps only the most recent *n* (after filtering; none
+        when ``n <= 0``); ``severity`` is a *minimum* (``"WARN"`` keeps
+        WARN and ERROR); ``subsystem`` filters exactly.
         """
         with self._lock:
             ordered = self._ring[self._next:] + self._ring[: self._next]
@@ -216,7 +228,7 @@ class EventJournal:
         if subsystem is not None:
             ordered = [e for e in ordered if e.subsystem == subsystem]
         if n is not None:
-            ordered = ordered[-n:]
+            ordered = ordered[-n:] if n > 0 else []
         return ordered
 
     def clear(self) -> None:
@@ -230,32 +242,6 @@ class EventJournal:
             return len(self._ring)
 
 
-class NoOpJournal:
-    """The disabled journal: one shared instance, zero recording.
-
-    ``enabled`` is ``False``; instrumented sites guard their whole
-    publish (including payload construction) behind that one attribute
-    check, so the disabled path allocates nothing.  Calling
-    :meth:`publish` anyway records nothing and returns ``None``.
-    """
-
-    enabled = False
-    capacity = 0
-    total = 0
-
-    def publish(self, severity: str, subsystem: str, name: str, **payload: object):
-        return None
-
-    def events(self, n=None, severity=None, subsystem=None) -> List[Event]:
-        return []
-
-    def clear(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-
 class ScopedJournal:
     """A tagging view over a journal: fixed payload fields on publish,
     and reads filtered back down to them.
@@ -264,9 +250,9 @@ class ScopedJournal:
     ``scoped(session="s03")`` so every event that session publishes is
     tagged with its id, and ``events()`` answers only that session's
     slice of the shared ring — per-session journals without per-session
-    rings.  With ``journal=None`` (the default) the view follows the
-    process-global :data:`CURRENT` at call time, so ``enable()`` /
-    ``disable()`` keep working mid-session.
+    rings.  With ``journal=None`` (the default) the view is over the
+    process-global :data:`CURRENT`, so ``enable()`` / ``disable()``
+    keep working mid-session.
     """
 
     __slots__ = ("tags", "_journal")
@@ -275,20 +261,17 @@ class ScopedJournal:
         if not tags:
             raise ValueError("a scoped journal needs at least one tag")
         self.tags = dict(tags)
-        self._journal = journal
-
-    def _target(self):
-        return self._journal if self._journal is not None else CURRENT
+        self._journal = journal if journal is not None else CURRENT
 
     @property
     def enabled(self) -> bool:
-        return self._target().enabled
+        return self._journal.enabled
 
     def publish(self, severity: str, subsystem: str, name: str, **payload: object):
         """Publish with the scope's tags merged in (tags win on clash)."""
         merged = dict(payload)
         merged.update(self.tags)
-        return self._target().publish(severity, subsystem, name, **merged)
+        return self._journal.publish(severity, subsystem, name, **merged)
 
     def events(
         self,
@@ -301,12 +284,14 @@ class ScopedJournal:
         :meth:`EventJournal.events`."""
         matching = [
             event
-            for event in self._target().events(
+            for event in self._journal.events(
                 severity=severity, subsystem=subsystem
             )
             if all(event.payload.get(k) == v for k, v in self.tags.items())
         ]
-        return matching[-n:] if n is not None else matching
+        if n is not None:
+            matching = matching[-n:] if n > 0 else []
+        return matching
 
     def __len__(self) -> int:
         return len(self.events())
@@ -316,46 +301,39 @@ class ScopedJournal:
 
 
 def scoped(journal=None, **tags: object) -> ScopedJournal:
-    """A :class:`ScopedJournal` over ``journal`` (default: whatever
-    :data:`CURRENT` is at each call)."""
+    """A :class:`ScopedJournal` over ``journal`` (default: the
+    process-global :data:`CURRENT`)."""
     return ScopedJournal(tags, journal=journal)
 
 
-NOOP = NoOpJournal()
-
-# The process-global journal.  Instrumented modules read this attribute
-# freshly per operation (``events.CURRENT``) so enable/disable takes
-# effect everywhere at once.
-CURRENT = NOOP  # type: object
-
-
-def get_journal():
-    """The process-global journal (an :class:`EventJournal` or NOOP)."""
-    return CURRENT
-
-
-def set_journal(journal) -> None:
-    """Install ``journal`` as the process-global journal (``None`` → NOOP)."""
-    global CURRENT
-    CURRENT = journal if journal is not None else NOOP
+# The process-global journal: built once at import and never rebound,
+# so instrumented modules may read ``events.CURRENT`` at any time; it
+# starts off and enable()/disable() flip its flag.
+CURRENT = EventJournal()
+CURRENT.enabled = False
 
 
 def enable(capacity: int = 4096) -> EventJournal:
-    """Turn the journal on; returns the active recording journal.
+    """Turn the journal on; returns the process-global journal.
 
-    Installs a fresh :class:`EventJournal` when the journal was off;
-    keeps the current one (and its retained events) when already on.
+    From off it starts empty with ``capacity`` and numbers events from
+    0 again; already on, it keeps its events and its capacity.
     """
-    global CURRENT
-    if not isinstance(CURRENT, EventJournal):
-        CURRENT = EventJournal(capacity)
+    if not CURRENT.enabled:
+        if capacity <= 0:
+            raise ValueError("journal capacity must be positive")
+        CURRENT.capacity = capacity
+        CURRENT.enabled = True
     return CURRENT
 
 
 def disable() -> None:
-    """Turn the journal off (back to the no-op singleton)."""
-    global CURRENT
-    CURRENT = NOOP
+    """Turn the journal off, dropping its events."""
+    with CURRENT._lock:
+        CURRENT.enabled = False
+        CURRENT._ring = []
+        CURRENT._next = 0
+        CURRENT.total = 0
 
 
 def publish(severity: str, subsystem: str, name: str, **payload: object):

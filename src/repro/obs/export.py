@@ -84,7 +84,7 @@ def trace_events(tracer=None, journal=None) -> List[Dict[str, object]]:
     tracer = tracer if tracer is not None else _trace.CURRENT
     journal = journal if journal is not None else _events.CURRENT
     out: List[Dict[str, object]] = []
-    for root in getattr(tracer, "roots", ()):
+    for root in tracer.roots:
         _span_events(root, out)
     for event in journal.events():
         out.append(
@@ -220,7 +220,7 @@ def write_trace(
             "metrics": registry.snapshot(),
             "journal": {
                 "retained": len(journal),
-                "published": getattr(journal, "total", 0),
+                "published": journal.total,
             },
         },
     }
@@ -260,7 +260,7 @@ def write_merged_trace(
             "metrics": registry.snapshot(),
             "journal": {
                 "retained": len(journal),
-                "published": getattr(journal, "total", 0),
+                "published": journal.total,
             },
             "clock_offset_seconds": clock_offset,
         },

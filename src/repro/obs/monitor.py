@@ -36,8 +36,9 @@ monitoring layer that can:
   consumers that want the values without a scraper).
 
 Like the tracer/journal/profiler/slowlog, the process-global monitor
-is **off by default** (:data:`CURRENT` is :data:`NOOP`) and costs
-nothing until :func:`enable` installs a live registry.
+:data:`CURRENT` is one object built at import and **off by default**:
+it samples nothing until :func:`enable` flips its ``enabled`` flag and
+takes a fresh baseline.
 """
 
 from __future__ import annotations
@@ -53,13 +54,9 @@ from repro.obs import metrics as _metrics
 __all__ = [
     "Window",
     "TimeSeriesRegistry",
-    "NoOpMonitor",
-    "NOOP",
     "CURRENT",
     "DEFAULT_CAPACITY",
     "QUANTILES",
-    "get_monitor",
-    "set_monitor",
     "enable",
     "disable",
     "tick",
@@ -153,6 +150,11 @@ class TimeSeriesRegistry:
     deltas cover activity *since enable*, not since process start.
     ``clock`` is injectable (monotonic seconds) for deterministic
     tests.
+
+    ``enabled`` is the on/off flag (on for a registry you construct, off
+    for :data:`CURRENT` until :func:`enable`).  While off, :meth:`tick`
+    samples nothing and returns ``None``, and :meth:`format` says how
+    to switch it on.
     """
 
     enabled = True
@@ -168,17 +170,11 @@ class TimeSeriesRegistry:
         self.ticks = 0
         self._clock = clock
         self._lock = threading.Lock()
-        self._windows: List[Window] = []
-        self._opened = self._clock()
-        self._last_counters: Dict[str, int] = self.registry.counters()
-        self._last_hist: Dict[str, Tuple[int, float]] = {
-            name: (hist.count, hist.total)
-            for name, hist in self.registry.histograms().items()
-        }
+        self.clear()
 
     # -- sampling -----------------------------------------------------------
 
-    def tick(self) -> Window:
+    def tick(self) -> Optional[Window]:
         """Close the current window and open the next one.
 
         Counter and histogram-count deltas that would come out negative
@@ -186,10 +182,12 @@ class TimeSeriesRegistry:
         (``reset_metrics()``); the sampler restarts its baseline from
         the post-reset values instead of recording garbage, so retained
         windows survive a reset untouched and the reset window reports
-        the activity since the reset.
+        the activity since the reset.  Returns ``None`` while off.
         """
         now = self._clock()
         with self._lock:
+            if not self.enabled:
+                return None
             counters = self.registry.counters()
             deltas: Dict[str, int] = {}
             for name, value in counters.items():
@@ -297,9 +295,16 @@ class TimeSeriesRegistry:
         return weighted / count if count else 0.0
 
     def clear(self) -> None:
-        """Drop retained windows (the baseline stays current)."""
+        """Drop retained windows and take a fresh baseline: the next
+        window's deltas cover activity since this call."""
         with self._lock:
-            self._windows = []
+            self._windows: List[Window] = []
+            self._opened = self._clock()
+            self._last_counters: Dict[str, int] = self.registry.counters()
+            self._last_hist: Dict[str, Tuple[int, float]] = {
+                name: (hist.count, hist.total)
+                for name, hist in self.registry.histograms().items()
+            }
 
     def __len__(self) -> int:
         return len(self._windows)
@@ -312,6 +317,8 @@ class TimeSeriesRegistry:
         ``top`` bounds the counters section to the busiest names so a
         terminal refresh stays one screenful.
         """
+        if not self.enabled:
+            return "(monitor is off — :watch <seconds> enables it)"
         covered = self.windows(horizon)
         if not covered:
             return "(no windows sampled — call tick())"
@@ -363,58 +370,10 @@ class TimeSeriesRegistry:
         return "\n".join(lines)
 
 
-class NoOpMonitor:
-    """The disabled monitor: one shared instance, zero sampling."""
-
-    enabled = False
-    capacity = 0
-    ticks = 0
-
-    def tick(self) -> None:
-        return None
-
-    def windows(self, horizon: Optional[float] = None) -> List[Window]:
-        return []
-
-    def delta(self, name: str, horizon: Optional[float] = None) -> int:
-        return 0
-
-    def rate(self, name: str, horizon: Optional[float] = None) -> float:
-        return 0.0
-
-    def gauge(self, name: str) -> Optional[float]:
-        return None
-
-    def quantile(
-        self, name: str, q: float, horizon: Optional[float] = None
-    ) -> float:
-        return 0.0
-
-    def clear(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-    def format(self, horizon: Optional[float] = None, top: int = 8) -> str:
-        return "(monitor is off — :watch <seconds> enables it)"
-
-
-NOOP = NoOpMonitor()
-
-# The process-global monitor; like the tracer, read freshly per use.
-CURRENT = NOOP  # type: object
-
-
-def get_monitor():
-    """The process-global monitor (a :class:`TimeSeriesRegistry` or NOOP)."""
-    return CURRENT
-
-
-def set_monitor(monitor) -> None:
-    """Install ``monitor`` as the process-global monitor (``None`` → NOOP)."""
-    global CURRENT
-    CURRENT = monitor if monitor is not None else NOOP
+# The process-global monitor: built once at import, never rebound, and
+# off until enable() flips its flag.
+CURRENT = TimeSeriesRegistry()
+CURRENT.enabled = False
 
 
 def enable(
@@ -422,25 +381,27 @@ def enable(
     registry: Optional[_metrics.MetricsRegistry] = None,
     clock=None,
 ) -> TimeSeriesRegistry:
-    """Turn the monitor on; returns the active registry.
+    """Turn the monitor on; returns the process-global registry.
 
-    Installs a fresh :class:`TimeSeriesRegistry` when the monitor was
-    off; keeps the current one (and its windows) when already on.
+    From off it starts empty with the given settings (the defaults for
+    any left out) and a fresh baseline, so the first window covers
+    activity since this call; already on, it keeps its windows.
     """
-    global CURRENT
-    if not isinstance(CURRENT, TimeSeriesRegistry):
-        CURRENT = TimeSeriesRegistry(
-            registry=registry,
-            capacity=capacity if capacity is not None else DEFAULT_CAPACITY,
-            clock=clock if clock is not None else time.monotonic,
-        )
+    if not CURRENT.enabled:
+        CURRENT.registry = _metrics.REGISTRY if registry is None else registry
+        CURRENT.capacity = DEFAULT_CAPACITY if capacity is None else capacity
+        CURRENT._clock = time.monotonic if clock is None else clock
+        CURRENT.clear()
+        CURRENT.enabled = True
     return CURRENT
 
 
 def disable() -> None:
-    """Turn the monitor off (retained windows are dropped with it)."""
-    global CURRENT
-    CURRENT = NOOP
+    """Turn the monitor off, dropping its windows."""
+    with CURRENT._lock:
+        CURRENT.enabled = False
+        CURRENT._windows = []
+        CURRENT.ticks = 0
 
 
 def tick():

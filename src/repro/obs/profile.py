@@ -15,9 +15,10 @@ Two instrumentation points feed it:
 * :meth:`repro.core.relation.GeneralizedRelation.join` attributes the
   cochain kernel's work (pairs tried/pruned) under ``relation.join``.
 
-Like the tracer and journal, the profiler is process-global and off by
-default — instrumented code guards on ``CURRENT.enabled`` so the
-disabled cost is one attribute check::
+Like the tracer and journal, the profiler is one process-global object,
+:data:`CURRENT`, built at import and off until :func:`enable` flips its
+``enabled`` flag — instrumented code guards on ``CURRENT.enabled`` so
+the disabled cost is one attribute check::
 
     profiler = profile.enable()
     for query in workload:
@@ -32,16 +33,12 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 __all__ = [
     "OpProfile",
     "Profiler",
-    "NoOpProfiler",
-    "NOOP",
     "CURRENT",
-    "get_profiler",
-    "set_profiler",
     "enable",
     "disable",
     "profile_report",
@@ -87,7 +84,12 @@ class OpProfile:
 
 
 class Profiler:
-    """The recording profiler: per-label aggregates behind one lock."""
+    """The recording profiler: per-label aggregates behind one lock.
+
+    ``enabled`` is the on/off flag (on for a profiler you construct, off
+    for :data:`CURRENT` until :func:`enable`).  While off, :meth:`record`
+    records nothing and :meth:`report` says how to switch it on.
+    """
 
     enabled = True
 
@@ -104,8 +106,11 @@ class Profiler:
         pairs_tried: int = 0,
         pairs_pruned: int = 0,
     ) -> None:
-        """Fold one measured call into the label's aggregate."""
+        """Fold one measured call into the label's aggregate (nothing
+        while off)."""
         with self._lock:
+            if not self.enabled:
+                return
             op = self._ops.get(label)
             if op is None:
                 op = self._ops[label] = OpProfile(label)
@@ -133,6 +138,8 @@ class Profiler:
 
     def report(self, top: int = 10) -> str:
         """The top-N table: self time, calls, rows, pruning ratio."""
+        if not self.enabled:
+            return "(profiler is off — :profile on)"
         ordered = self.ops()[: top if top else None]
         if not ordered:
             return "(no profiled operators — run queries with :profile on)"
@@ -159,56 +166,25 @@ class Profiler:
         return "\n".join(lines)
 
 
-class NoOpProfiler:
-    """The disabled profiler: shared singleton, records nothing."""
-
-    enabled = False
-
-    def record(self, label, seconds, rows_out=0, pairs_tried=0, pairs_pruned=0):
-        pass
-
-    def ops(self) -> List[OpProfile]:
-        return []
-
-    def snapshot(self) -> List[Dict[str, object]]:
-        return []
-
-    def clear(self) -> None:
-        pass
-
-    def report(self, top: int = 10) -> str:
-        return "(profiler is off — :profile on)"
-
-
-NOOP = NoOpProfiler()
-
-# The process-global profiler, read freshly per operation.
-CURRENT = NOOP  # type: object
-
-
-def get_profiler():
-    """The process-global profiler (a :class:`Profiler` or NOOP)."""
-    return CURRENT
-
-
-def set_profiler(profiler) -> None:
-    """Install ``profiler`` as the global profiler (``None`` → NOOP)."""
-    global CURRENT
-    CURRENT = profiler if profiler is not None else NOOP
+# The process-global profiler: built once at import, never rebound, and
+# off until enable() flips its flag.
+CURRENT = Profiler()
+CURRENT.enabled = False
 
 
 def enable() -> Profiler:
-    """Turn profiling on; keeps an already-recording profiler."""
-    global CURRENT
-    if not isinstance(CURRENT, Profiler):
-        CURRENT = Profiler()
+    """Turn profiling on; returns the process-global profiler.
+
+    Aggregates recorded while it was already on are kept.
+    """
+    CURRENT.enabled = True
     return CURRENT
 
 
 def disable() -> None:
-    """Turn profiling off (back to the no-op singleton)."""
-    global CURRENT
-    CURRENT = NOOP
+    """Turn profiling off, dropping the aggregates."""
+    CURRENT.enabled = False
+    CURRENT.clear()
 
 
 def profile_report(top: int = 10) -> str:

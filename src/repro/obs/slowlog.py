@@ -14,12 +14,13 @@ the run happened inside a session request — the exact ``request_id``
 from the per-thread request context, the same key wide events
 (:mod:`repro.obs.wide`) and merged trace exports carry.
 
-Like the tracer, journal, and profiler, the log is process-global and
-**off by default**: instrumented sites pay one attribute check
-(``slowlog.CURRENT.enabled``) until :func:`enable` flips the switch
-(the REPL's ``:slow on``).  Recording is *outermost-only* — a plan
-node's recursive ``execute`` calls share one entry — tracked with a
-per-thread depth counter so threaded workloads don't cross-talk.
+Like the tracer, journal, and profiler, the log is one process-global
+object, :data:`CURRENT`, built at import and **off by default**:
+instrumented sites pay one attribute check (``slowlog.CURRENT.enabled``)
+until :func:`enable` flips its flag (the REPL's ``:slow on``).
+Recording is *outermost-only* — a plan node's recursive ``execute``
+calls share one entry — tracked with a per-thread depth counter so
+threaded workloads don't cross-talk.
 
 Every recorded entry also publishes a ``WARN slowlog.slow_query``
 event into the flight recorder, so slow queries appear on the same
@@ -49,16 +50,11 @@ from repro.obs import trace as _trace
 __all__ = [
     "SlowQueryEntry",
     "SlowLog",
-    "NoOpSlowLog",
-    "NOOP",
     "CURRENT",
     "DEFAULT_THRESHOLD_MS",
     "DEFAULT_CAPACITY",
-    "get_slowlog",
-    "set_slowlog",
     "enable",
     "disable",
-    "set_threshold",
     "slowlog_report",
 ]
 
@@ -227,19 +223,6 @@ class _Measure:
         return False
 
 
-class _NoOpMeasure:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoOpMeasure":
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        return False
-
-
-_NOOP_MEASURE = _NoOpMeasure()
-
-
 class SlowLog:
     """A bounded ring of :class:`SlowQueryEntry`, newest last.
 
@@ -247,6 +230,11 @@ class SlowLog:
     len(log)`` is the number evicted — the same accounting the event
     journal uses for its drop rate.  ``clock`` is injectable so tests
     can force a "slow" query deterministically.
+
+    ``enabled`` is the on/off flag (on for a log you construct, off for
+    :data:`CURRENT` until :func:`enable`).  While off nothing records,
+    not even a :meth:`measure` block already open, and :meth:`report`
+    says how to switch it on.
     """
 
     enabled = True
@@ -268,8 +256,9 @@ class SlowLog:
     # -- instrumentation hooks ----------------------------------------------
 
     def outermost(self) -> bool:
-        """Whether no :meth:`measure` block is open on this thread."""
-        return getattr(self._local, "depth", 0) == 0
+        """Whether the log is on and no :meth:`measure` block is open on
+        this thread."""
+        return self.enabled and getattr(self._local, "depth", 0) == 0
 
     def measure(self, kind: str, query: Lazy, plan: Lazy = None) -> _Measure:
         """Time one run; record it if it exceeds the threshold.
@@ -281,8 +270,9 @@ class SlowLog:
         return _Measure(self, kind, query, plan)
 
     def would_record(self, seconds: float) -> bool:
-        """Whether a run of ``seconds`` wall time crosses the threshold."""
-        return seconds * 1000.0 >= self.threshold_ms
+        """Whether the log is on and a run of ``seconds`` wall time
+        crosses the threshold."""
+        return self.enabled and seconds * 1000.0 >= self.threshold_ms
 
     def record(
         self,
@@ -295,8 +285,9 @@ class SlowLog:
         pairs_pruned: int = 0,
         span: Optional[int] = None,
         request: Optional[str] = None,
-    ) -> SlowQueryEntry:
-        """Append one entry (callers have already checked the threshold).
+    ) -> Optional[SlowQueryEntry]:
+        """Append one entry (callers have already checked the threshold);
+        ``None`` while the log is off.
 
         ``request`` defaults to the recording thread's request context
         (:func:`repro.obs.trace.current_request_id`) — an *exact*
@@ -314,6 +305,8 @@ class SlowLog:
             if tracer.enabled and tracer.last_span is not None:
                 span = tracer.last_span.seq
         with self._lock:
+            if not self.enabled:
+                return None
             entry = SlowQueryEntry(
                 seq=self.total,
                 kind=kind,
@@ -391,6 +384,8 @@ class SlowLog:
 
     def report(self, limit: int = 10) -> str:
         """The ``:slow`` table: newest entries of the ring."""
+        if not self.enabled:
+            return "(slow-query log is off — :slow on)"
         retained = self.entries(limit)
         if not retained:
             return "(no slow queries over %.1fms)" % self.threshold_ms
@@ -403,58 +398,10 @@ class SlowLog:
         return "\n".join(lines)
 
 
-class NoOpSlowLog:
-    """The disabled log: one shared instance, zero recording."""
-
-    enabled = False
-    threshold_ms = DEFAULT_THRESHOLD_MS
-    capacity = 0
-    total = 0
-
-    def outermost(self) -> bool:
-        return False
-
-    def measure(self, kind: str, query: Lazy, plan: Lazy = None):
-        return _NOOP_MEASURE
-
-    def would_record(self, seconds: float) -> bool:
-        return False
-
-    def record(self, *args, **kwargs) -> None:
-        return None
-
-    def entries(self, limit: Optional[int] = None) -> List[SlowQueryEntry]:
-        return []
-
-    def for_request(self, request_id: str) -> List[SlowQueryEntry]:
-        return []
-
-    def clear(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-    def report(self, limit: int = 10) -> str:
-        return "(slow-query log is off — :slow on)"
-
-
-NOOP = NoOpSlowLog()
-
-# The process-global slow-query log; instrumented sites read this
-# attribute freshly per operation so enable/disable is immediate.
-CURRENT = NOOP  # type: object
-
-
-def get_slowlog():
-    """The process-global slow-query log (a :class:`SlowLog` or NOOP)."""
-    return CURRENT
-
-
-def set_slowlog(log) -> None:
-    """Install ``log`` as the process-global slow log (``None`` → NOOP)."""
-    global CURRENT
-    CURRENT = log if log is not None else NOOP
+# The process-global slow-query log: built once at import, never
+# rebound, and off until enable() flips its flag.
+CURRENT = SlowLog()
+CURRENT.enabled = False
 
 
 def enable(
@@ -462,38 +409,28 @@ def enable(
     capacity: Optional[int] = None,
     clock=None,
 ) -> SlowLog:
-    """Turn the slow-query log on; returns the active log.
+    """Turn the slow-query log on; returns the process-global log.
 
-    Installs a fresh :class:`SlowLog` when the log was off; keeps the
-    current one (and its entries) when already on, applying a new
-    ``threshold_ms`` if one is given.
+    From off it starts empty with the given settings (the defaults for
+    any left out); already on, it keeps its entries and applies only a
+    new ``threshold_ms``.
     """
-    global CURRENT
-    if not isinstance(CURRENT, SlowLog):
-        CURRENT = SlowLog(
-            threshold_ms=(
-                threshold_ms
-                if threshold_ms is not None
-                else DEFAULT_THRESHOLD_MS
-            ),
-            capacity=capacity if capacity is not None else DEFAULT_CAPACITY,
-            clock=clock if clock is not None else time.perf_counter,
-        )
-        return CURRENT
+    if not CURRENT.enabled:
+        CURRENT.threshold_ms = DEFAULT_THRESHOLD_MS
+        CURRENT.capacity = DEFAULT_CAPACITY if capacity is None else capacity
+        CURRENT._clock = time.perf_counter if clock is None else clock
     if threshold_ms is not None:
         CURRENT.threshold_ms = float(threshold_ms)
+    CURRENT.enabled = True
     return CURRENT
 
 
 def disable() -> None:
-    """Turn the slow-query log off (entries are dropped with it)."""
-    global CURRENT
-    CURRENT = NOOP
-
-
-def set_threshold(threshold_ms: float) -> None:
-    """Set the slow threshold, enabling the log if it was off."""
-    enable(threshold_ms=threshold_ms)
+    """Turn the slow-query log off, dropping its entries."""
+    with CURRENT._lock:
+        CURRENT.enabled = False
+        CURRENT._ring = []
+        CURRENT.total = 0
 
 
 def slowlog_report(limit: int = 10) -> str:

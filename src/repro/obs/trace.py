@@ -16,9 +16,12 @@ Spans nest: a span opened while another is active becomes its child, so
 an instrumented call stack (a plan execution, a heap commit replaying
 into the store) renders as an indented tree.
 
-**Disabled cost.**  The default tracer is :data:`NOOP`, a singleton
-whose ``enabled`` attribute is ``False``; hot paths guard their
-instrumentation with that single attribute check and pay nothing else::
+**Disabled cost.**  The process-global tracer :data:`CURRENT` is built
+once at import, starts off, and is never rebound: :func:`enable` and
+:func:`disable` flip its ``enabled`` flag.  Hot paths guard their
+instrumentation with that single attribute check and pay nothing else;
+an off tracer's :meth:`~Tracer.span` hands out one shared do-nothing
+span, so an unguarded call costs only the call::
 
     if trace.CURRENT.enabled:
         with trace.CURRENT.span("store.replay"):
@@ -33,18 +36,14 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.obs import events as _events
 
 __all__ = [
     "Span",
     "Tracer",
-    "NoOpTracer",
-    "NOOP",
     "CURRENT",
-    "get_tracer",
-    "set_tracer",
     "enable",
     "disable",
     "span",
@@ -182,24 +181,27 @@ class _OpenSpan:
             if request_id is not None and "request_id" not in span_obj.tags:
                 span_obj.tags["request_id"] = request_id
             with tracer._roots_lock:
-                tracer.roots.append(span_obj)
+                if tracer.enabled:  # not switched off since span()
+                    tracer.roots.append(span_obj)
         tracer._stack.append(span_obj)
         tracer.last_span = span_obj
         span_obj._started = tracer._clock()
         return span_obj
 
     def __exit__(self, *exc_info) -> bool:
+        tracer = self._tracer
         span_obj = self._span
-        span_obj.elapsed = self._tracer._clock() - span_obj._started
+        span_obj.elapsed = tracer._clock() - span_obj._started
         # Pop back to this span even if an inner span leaked (an
         # exception skipped its __exit__ — defensive, should not happen).
-        stack = self._tracer._stack
+        stack = tracer._stack
         while stack and stack.pop() is not span_obj:
             pass
         # Closed spans also chronicle into the flight recorder, so an
-        # exported journal shows spans and anomalies on one timeline.
+        # exported journal shows spans and anomalies on one timeline —
+        # unless tracing was switched off while this span was open.
         journal = _events.CURRENT
-        if journal.enabled:
+        if tracer.enabled and journal.enabled:
             payload = {
                 key: value
                 for key, value in span_obj.tags.items()
@@ -225,6 +227,11 @@ class Tracer:
     new roots are stamped with the thread's request id so
     :meth:`harvest_request` can claim exactly one request's trees even
     when a pooled server grows several requests' roots concurrently.
+
+    ``enabled`` is the on/off flag (on for a tracer you construct, off
+    for :data:`CURRENT` until :func:`enable`).  While off, :meth:`span`
+    hands out a shared do-nothing span and spans still open record
+    nothing when they close.
     """
 
     enabled = True
@@ -246,8 +253,10 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
-    def span(self, name: str, **tags: object) -> _OpenSpan:
+    def span(self, name: str, **tags: object):
         """Open a span; use as ``with tracer.span("name", k=v) as sp:``."""
+        if not self.enabled:
+            return _NOOP_SPAN
         return _OpenSpan(self, Span(name, tags))
 
     def clear(self) -> None:
@@ -312,69 +321,26 @@ class _NoOpSpan:
 _NOOP_SPAN = _NoOpSpan()
 
 
-class NoOpTracer:
-    """The disabled tracer: one shared instance, zero recording.
-
-    ``enabled`` is ``False`` so instrumented code can skip its whole
-    observation block with a single attribute check; calling
-    :meth:`span` anyway still costs nothing but the call.
-    """
-
-    enabled = False
-    roots: Tuple[Span, ...] = ()
-    last_span: Optional[Span] = None
-
-    def span(self, name: str, **tags: object) -> _NoOpSpan:
-        return _NOOP_SPAN
-
-    def clear(self) -> None:
-        pass
-
-    def harvest_request(self, request_id: str) -> List[Span]:
-        return []
-
-    def spans(self) -> List[Span]:
-        return []
-
-    def find(self, name: str) -> List[Span]:
-        return []
-
-
-NOOP = NoOpTracer()
-
-# The process-global tracer.  Instrumented modules read this attribute
-# freshly on each operation (``trace.CURRENT``) so enable/disable takes
-# effect everywhere at once.
-CURRENT = NOOP  # type: object
-
-
-def get_tracer():
-    """The process-global tracer (a :class:`Tracer` or :data:`NOOP`)."""
-    return CURRENT
-
-
-def set_tracer(tracer) -> None:
-    """Install ``tracer`` as the process-global tracer (``None`` → NOOP)."""
-    global CURRENT
-    CURRENT = tracer if tracer is not None else NOOP
+# The process-global tracer: built once at import and never rebound, so
+# instrumented modules may read ``trace.CURRENT`` at any time; it starts
+# off and enable()/disable() flip its flag.
+CURRENT = Tracer()
+CURRENT.enabled = False
 
 
 def enable() -> Tracer:
-    """Turn tracing on; returns the active recording tracer.
+    """Turn tracing on; returns the process-global tracer.
 
-    Installs a fresh :class:`Tracer` when tracing was off; keeps the
-    current one (and its recorded spans) when already on.
+    Spans recorded while it was already on are kept.
     """
-    global CURRENT
-    if not isinstance(CURRENT, Tracer):
-        CURRENT = Tracer()
+    CURRENT.enabled = True
     return CURRENT
 
 
 def disable() -> None:
-    """Turn tracing off (the global tracer becomes the no-op singleton)."""
-    global CURRENT
-    CURRENT = NOOP
+    """Turn tracing off, dropping the recorded spans."""
+    CURRENT.enabled = False
+    CURRENT.clear()
 
 
 def span(name: str, **tags: object):

@@ -14,11 +14,11 @@ Sessions keep their wide events in a bounded :class:`RequestLog` ring,
 browsable at the REPL via ``:requests [n]`` (local or remote — the
 record is plain data and travels in ``obs`` frames).
 
-Counter deltas are attributable to a single request because queries
-serialize: the server broker executes every query on one worker
-thread, and the local REPL is single-threaded.  Under future
-concurrent execution the deltas would become "counters that moved
-while this request ran" — still useful, no longer exclusive.
+Counter deltas are the counters that moved while the request ran.
+The server broker runs requests on a pool of worker threads, so under
+concurrent load they include whatever other requests did meanwhile;
+they are exclusive to one request only when nothing else runs, as in
+the single-threaded local REPL.
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ shared flight-recorder ring still yields per-session journals.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Dict, Optional
 
@@ -197,9 +198,8 @@ class Session:
         self._touch()
         if request_id is None:
             request_id = "%s-r%d" % (self.session_id, self.requests)
-        tracer = _trace.CURRENT
         counters_before = _wide.counters_snapshot()
-        slow_before = getattr(_slowlog.CURRENT, "total", 0)
+        slow_before = _slowlog.CURRENT.total
         previous_request = _trace.set_request_id(request_id)
         started = time.perf_counter()
         try:
@@ -217,7 +217,7 @@ class Session:
         except BaseException as exc:
             elapsed = time.perf_counter() - started
             _trace.set_request_id(previous_request)
-            roots = self._harvest_spans(tracer, request_id)
+            roots = self._harvest_spans(request_id)
             self._record_request(
                 request_id, mode, source, False, str(exc), elapsed,
                 roots, counters_before, slow_before,
@@ -225,7 +225,7 @@ class Session:
             raise
         elapsed = time.perf_counter() - started
         _trace.set_request_id(previous_request)
-        roots = self._harvest_spans(tracer, request_id)
+        roots = self._harvest_spans(request_id)
         self._record_request(
             request_id, mode, source, True, None, elapsed,
             roots, counters_before, slow_before,
@@ -236,7 +236,7 @@ class Session:
             reply["trace"] = "\n".join(root.format() for root in roots)
         return reply
 
-    def _harvest_spans(self, tracer, request_id: str):
+    def _harvest_spans(self, request_id: str):
         """Claim the root spans this request grew on the global tracer.
 
         Root spans are stamped with the thread's request id as they
@@ -247,6 +247,7 @@ class Session:
         and annotated with the session — they live on in the wide
         event.  Returns the claimed :class:`~repro.obs.trace.Span` roots.
         """
+        tracer = _trace.CURRENT
         if not tracer.enabled:
             return []
         roots = tracer.harvest_request(request_id)
@@ -464,8 +465,17 @@ class Session:
             _slowlog.disable()
             return {"text": "slow-query log off"}
         if action == "threshold":
-            _slowlog.set_threshold(float(threshold))
-            return {"text": "slow threshold %.1fms" % float(threshold)}
+            try:
+                threshold_ms = float(threshold)
+            except (TypeError, ValueError):
+                threshold_ms = math.nan
+            if not (math.isfinite(threshold_ms) and threshold_ms >= 0.0):
+                raise EvalError(
+                    "slow threshold must be a finite number of"
+                    " milliseconds >= 0, not %r" % (threshold,)
+                )
+            _slowlog.enable(threshold_ms=threshold_ms)
+            return {"text": "slow threshold %.1fms" % threshold_ms}
         return {"text": _slowlog.slowlog_report(int(count))}
 
     def _stat_watch(self, horizon: Optional[float] = None, **__) -> Dict[str, object]:

@@ -330,12 +330,6 @@ def test_switch_defaults_off():
     assert not isinstance(optimize(star_plan(), catalog), ColumnarExec)
 
 
-def test_catalog_escape_hatch():
-    catalog = Catalog(star_catalog(300), columnar=False)
-    with forced_columnar():
-        assert not isinstance(optimize(star_plan(), catalog), ColumnarExec)
-
-
 def test_index_scan_is_not_lowered():
     """An eligible sibling still lowers, but IndexScan stays row-wise."""
     catalog = Catalog(star_catalog(300))

@@ -5,25 +5,15 @@ import json
 import pytest
 
 from repro.lang.repl import Repl
-from repro.obs import events, export, monitor, profile, slowlog, trace
+from repro.obs import export, trace
 from repro.obs.metrics import reset_metrics
 from repro.server import ServerThread
 
 
 @pytest.fixture(autouse=True)
-def clean_globals():
+def clean_metrics():
     reset_metrics()
-    previous_journal = events.CURRENT
-    previous_monitor = monitor.CURRENT
-    previous_slowlog = slowlog.CURRENT
-    previous_tracer = trace.CURRENT
-    previous_profiler = profile.CURRENT
     yield
-    events.set_journal(previous_journal)
-    monitor.set_monitor(previous_monitor)
-    slowlog.set_slowlog(previous_slowlog)
-    trace.set_tracer(previous_tracer)
-    profile.set_profiler(previous_profiler)
     reset_metrics()
 
 

@@ -4,7 +4,7 @@
 import pytest
 
 from repro.lang.repl import Repl
-from repro.obs import events, monitor, slowlog, trace
+from repro.obs import events, monitor, slowlog
 from repro.obs.monitor import parse_openmetrics
 
 
@@ -13,19 +13,6 @@ def repl_session():
     lines = []
     repl = Repl(writer=lines.append)
     return repl, lines
-
-
-@pytest.fixture(autouse=True)
-def restore_globals():
-    previous_tracer = trace.CURRENT
-    previous_journal = events.CURRENT
-    previous_monitor = monitor.CURRENT
-    previous_log = slowlog.CURRENT
-    yield
-    trace.set_tracer(previous_tracer)
-    events.set_journal(previous_journal)
-    monitor.set_monitor(previous_monitor)
-    slowlog.set_slowlog(previous_log)
 
 
 EMP_SOURCE = (
@@ -117,6 +104,16 @@ class TestSlowCommand:
         assert lines[-1] == "slow threshold 25.0ms"
         assert slowlog.CURRENT.enabled
         assert slowlog.CURRENT.threshold_ms == 25.0
+
+    def test_slow_threshold_that_can_never_trip_is_refused(self, repl_session):
+        repl, lines = repl_session
+        repl.handle(":slow threshold 25")
+        for value in ("nan", "inf", "-inf", "-1"):
+            repl.handle(":slow threshold %s" % value)
+            assert lines[-1].startswith(
+                "error: slow threshold must be a finite number"
+            )
+            assert slowlog.CURRENT.threshold_ms == 25.0
 
     def test_slow_threshold_without_number_prints_usage(self, repl_session):
         repl, lines = repl_session

@@ -21,22 +21,6 @@ def repl_session():
     return repl, lines
 
 
-@pytest.fixture(autouse=True)
-def restore_global_tracer():
-    previous = trace.CURRENT
-    yield
-    trace.set_tracer(previous)
-
-
-@pytest.fixture(autouse=True)
-def restore_global_journal_and_profiler():
-    previous_journal = events.CURRENT
-    previous_profiler = profile.CURRENT
-    yield
-    events.set_journal(previous_journal)
-    profile.set_profiler(previous_profiler)
-
-
 class TestStatsCommand:
     def test_stats_prints_registry_table(self, repl_session):
         repl, lines = repl_session
@@ -156,6 +140,16 @@ class TestEventsCommand:
         printed = lines[before:]
         assert len(printed) == 2
         assert "tick4" in printed[-1]
+
+    def test_events_n_below_one_prints_usage(self, repl_session):
+        repl, lines = repl_session
+        repl.handle(":events on")
+        for i in range(3):
+            events.publish("INFO", "test", "tick%d" % i)
+        for argument in ("0", "-2"):
+            before = len(lines)
+            repl.handle(":events %s" % argument)
+            assert lines[before:] == ["usage: :events [n] | :events on|off"]
 
     def test_events_junk_argument_prints_usage(self, repl_session):
         repl, lines = repl_session

@@ -6,16 +6,8 @@ import threading
 import pytest
 
 from repro.obs import events
-from repro.obs.events import NOOP, Event, EventJournal, NoOpJournal
+from repro.obs.events import Event, EventJournal
 from repro.obs.metrics import REGISTRY
-
-
-@pytest.fixture(autouse=True)
-def restore_global_journal():
-    """Leave the process-global journal exactly as this test found it."""
-    previous = events.CURRENT
-    yield
-    events.set_journal(previous)
 
 
 class TestPublish:
@@ -111,6 +103,17 @@ class TestFiltering:
             e.name for e in journal.events(1, subsystem="store")
         ] == ["torn_record"]
 
+    def test_n_below_one_keeps_nothing(self):
+        journal = self._loaded()
+        assert journal.events(0) == []
+        assert journal.events(-2) == []
+        view = events.scoped(journal, session="s01")
+        view.publish("INFO", "test", "first")
+        view.publish("INFO", "test", "second")
+        assert [e.name for e in view.events(1)] == ["second"]
+        assert view.events(0) == []
+        assert view.events(-1) == []
+
 
 class TestConcurrency:
     def test_concurrent_publishes_lose_nothing(self):
@@ -162,15 +165,14 @@ class TestSerialization:
 
 class TestGlobalSwitch:
     def test_default_is_disabled(self):
-        events.set_journal(None)
-        assert events.CURRENT is NOOP
-        assert not events.get_journal().enabled
+        assert not events.CURRENT.enabled
 
     def test_noop_accepts_and_drops_everything(self):
-        assert NOOP.publish("WARN", "x", "y", k=1) is None
-        assert NOOP.events() == []
-        assert len(NOOP) == 0
-        NOOP.clear()
+        journal = events.CURRENT
+        assert journal.publish("WARN", "x", "y", k=1) is None
+        assert journal.events() == []
+        assert len(journal) == 0
+        journal.clear()
 
     def test_enable_installs_recording_journal(self):
         events.disable()
@@ -187,10 +189,12 @@ class TestGlobalSwitch:
         assert [e.name for e in journal.events()] == ["kept"]
 
     def test_disable_restores_the_noop_singleton(self):
-        events.enable()
+        journal = events.enable()
+        journal.publish("INFO", "test", "dropped")
         events.disable()
-        assert events.CURRENT is NOOP
-        assert isinstance(events.CURRENT, NoOpJournal)
+        assert events.CURRENT is journal
+        assert not journal.enabled
+        assert journal.events() == []
 
     def test_enable_disable_round_trip_leaves_no_stale_state(self):
         events.disable()
@@ -198,26 +202,28 @@ class TestGlobalSwitch:
         first.publish("INFO", "test", "old")
         events.disable()
         second = events.enable()
-        # A fresh journal after a full round trip: no leaked events.
-        assert second is not first
+        # The same journal, empty after a full round trip: no leaked
+        # events, and numbering starts again from 0.
+        assert second is first
         assert second.events() == []
         assert second.total == 0
+        assert second.publish("INFO", "test", "new").seq == 0
 
 
 class TestDisabledPathCost:
-    def test_guarded_call_sites_never_build_payloads_when_off(self):
+    def test_guarded_call_sites_never_build_payloads_when_off(
+        self, monkeypatch
+    ):
         """The `if CURRENT.enabled:` guard must keep publish un-called."""
+        from repro.core.flat import FlatRelation
+        from repro.core.relation import join_with_fastpath
+
         events.disable()
         calls = []
-        original = NoOpJournal.publish
-        NoOpJournal.publish = lambda self, *a, **k: calls.append(a)  # type: ignore[assignment]
-        try:
-            from repro.core.flat import FlatRelation
-            from repro.core.relation import join_with_fastpath
-
-            left = FlatRelation(("A", "B"), [(1, 2)]).to_generalized()
-            right = FlatRelation(("B", "C"), [(2, 3)]).to_generalized()
-            join_with_fastpath(left, right)
-        finally:
-            NoOpJournal.publish = original  # type: ignore[assignment]
+        monkeypatch.setattr(
+            events.CURRENT, "publish", lambda *a, **k: calls.append(a)
+        )
+        left = FlatRelation(("A", "B"), [(1, 2)]).to_generalized()
+        right = FlatRelation(("B", "C"), [(2, 3)]).to_generalized()
+        join_with_fastpath(left, right)
         assert calls == []

@@ -24,15 +24,6 @@ from repro.obs.export import (
 from repro.obs.trace import Tracer
 
 
-@pytest.fixture(autouse=True)
-def restore_globals():
-    previous_tracer = trace.CURRENT
-    previous_journal = events.CURRENT
-    yield
-    trace.set_tracer(previous_tracer)
-    events.set_journal(previous_journal)
-
-
 def make_session():
     """A tracer + journal with known, interleaved content."""
     tracer = Tracer()
@@ -256,10 +247,8 @@ class TestExportedPlanTreeMatchesExplain:
             .project(["Emp", "City"]),
             catalog,
         )
-        tracer = Tracer()
-        trace.set_tracer(tracer)
-        journal = EventJournal()
-        events.set_journal(journal)
+        tracer = trace.enable()
+        journal = events.enable()
         plan.execute(catalog)
         path = str(tmp_path / "plan.trace.json")
         write_trace(path, tracer, journal)

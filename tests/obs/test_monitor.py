@@ -46,13 +46,11 @@ def clock():
     return FakeClock()
 
 
-@pytest.fixture(autouse=True)
-def restore_globals():
-    previous_monitor = monitor.CURRENT
-    previous_journal = events.CURRENT
-    yield
-    monitor.set_monitor(previous_monitor)
-    events.set_journal(previous_journal)
+def off_journal():
+    """A switched-off journal, as the process-global one starts."""
+    journal = events.EventJournal()
+    journal.enabled = False
+    return journal
 
 
 class TestTimeSeriesRegistry:
@@ -188,13 +186,6 @@ class TestTimeSeriesRegistry:
         assert "g" in text and "2.5" in text
         assert "q.seconds" in text
 
-    def test_noop_monitor_is_inert(self):
-        monitor.disable()
-        assert monitor.tick() is None
-        assert monitor.CURRENT.windows() == []
-        assert monitor.CURRENT.rate("c") == 0.0
-        assert "off" in monitor.CURRENT.format()
-
     def test_enable_is_idempotent(self, clock):
         first = monitor.enable(clock=clock)
         clock.advance(1.0)
@@ -208,7 +199,7 @@ class TestTimeSeriesRegistry:
 class TestHealthProbes:
     def test_store_integrity_verdict_ladder(self, registry):
         probe = StoreIntegrityProbe()
-        journal = events.NoOpJournal()
+        journal = off_journal()
         assert probe.check(registry, journal).verdict == OK
         registry.counter("store.torn_records").inc()
         assert probe.check(registry, journal).verdict == DEGRADED
@@ -219,7 +210,7 @@ class TestHealthProbes:
         probe = HeapCommitLagProbe(
             degraded_seconds=0.1, failing_seconds=1.0
         )
-        journal = events.NoOpJournal()
+        journal = off_journal()
         assert probe.check(registry, journal).verdict == OK  # no commits
         for __ in range(20):
             registry.histogram("heap.commit.seconds").observe(0.5)
@@ -230,7 +221,7 @@ class TestHealthProbes:
 
     def test_journal_drop_probe(self, registry):
         probe = JournalDropProbe(degraded_fraction=0.1)
-        assert probe.check(registry, events.NoOpJournal()).verdict == OK
+        assert probe.check(registry, off_journal()).verdict == OK
         journal = events.EventJournal(capacity=4)
         for i in range(4):
             journal.publish("INFO", "t", "e%d" % i)
@@ -243,7 +234,7 @@ class TestHealthProbes:
 
     def test_adaptive_hit_rate_probe(self, registry):
         probe = AdaptiveHitRateProbe(min_lookups=10, degraded_rate=0.5)
-        journal = events.NoOpJournal()
+        journal = off_journal()
         assert probe.check(registry, journal).verdict == OK  # warming up
         registry.counter("stats.adaptive.hits").inc(1)
         registry.counter("stats.adaptive.misses").inc(9)
@@ -253,7 +244,7 @@ class TestHealthProbes:
 
     def test_stats_staleness_gauge_fallback(self, registry):
         probe = StatsStalenessProbe(degraded_drift=4.0)
-        journal = events.NoOpJournal()
+        journal = off_journal()
         assert probe.check(registry, journal).verdict == OK
         registry.gauge("query.estimate.max_drift").set(7.5)
         result = probe.check(registry, journal)
@@ -269,7 +260,7 @@ class TestHealthProbes:
         )
         catalog.analyze("r")
         probe = StatsStalenessProbe(catalog=catalog)
-        journal = events.NoOpJournal()
+        journal = off_journal()
         assert probe.check(registry, journal).verdict == OK
         catalog.bind("r", FlatRelation(("A",), [(3,)]))  # stats go stale
         result = probe.check(registry, journal)
@@ -280,7 +271,7 @@ class TestHealthProbes:
         from repro.obs.monitor import ServerSessionsProbe
 
         probe = ServerSessionsProbe()
-        result = probe.check(registry, events.NoOpJournal())
+        result = probe.check(registry, off_journal())
         assert result.verdict == OK
         assert result.detail == "no server running"
 
@@ -288,7 +279,7 @@ class TestHealthProbes:
         from repro.obs.monitor import ServerSessionsProbe
 
         probe = ServerSessionsProbe(degraded_fraction=0.05)
-        journal = events.NoOpJournal()
+        journal = off_journal()
         registry.gauge("server.sessions.limit").set(4.0)
         registry.gauge("server.sessions.active").set(2.0)
         registry.counter("server.connections.accepted").inc(20)
@@ -308,7 +299,7 @@ class TestHealthProbes:
         registry.gauge("server.sessions.limit").set(2.0)
         registry.gauge("server.sessions.active").set(2.0)
         registry.counter("server.connections.accepted").inc(2)
-        result = probe.check(registry, events.NoOpJournal())
+        result = probe.check(registry, off_journal())
         assert result.verdict == DEGRADED
         assert result.detail.startswith("at connection limit")
 
@@ -322,7 +313,7 @@ class TestHealthProbes:
         from repro.obs.monitor import TxnConflictProbe
 
         probe = TxnConflictProbe()
-        result = probe.check(registry, events.NoOpJournal())
+        result = probe.check(registry, off_journal())
         assert result.verdict == OK
         assert result.detail == "no transactions committed"
 
@@ -330,7 +321,7 @@ class TestHealthProbes:
         from repro.obs.monitor import TxnConflictProbe
 
         probe = TxnConflictProbe(min_attempts=10, degraded_rate=0.25)
-        journal = events.NoOpJournal()
+        journal = off_journal()
         # Under min_attempts, even an ugly rate stays ok (warming up).
         registry.counter("txn.commit").inc(1)
         registry.counter("txn.conflict").inc(1)
@@ -384,7 +375,7 @@ class TestHealthProbes:
         results = health_report(
             probes=[Broken()],
             registry=registry,
-            journal=events.NoOpJournal(),
+            journal=off_journal(),
         )
         assert results[0].verdict == FAILING
         assert "boom" in results[0].detail
@@ -393,7 +384,7 @@ class TestHealthProbes:
         results = health_report(
             probes=[StoreIntegrityProbe()],
             registry=registry,
-            journal=events.NoOpJournal(),
+            journal=off_journal(),
         )
         text = format_health(results)
         assert text.splitlines()[0] == "health: ok"
@@ -460,7 +451,7 @@ class TestRequestTracingProbe:
         from repro.obs.monitor import RequestTracingProbe
 
         probe = RequestTracingProbe()
-        result = probe.check(registry, events.NoOpJournal())
+        result = probe.check(registry, off_journal())
         assert result.verdict == OK
         assert "no traced requests" in result.detail
 
@@ -470,7 +461,7 @@ class TestRequestTracingProbe:
         probe = RequestTracingProbe(min_requests=10)
         registry.counter("session.requests").inc(100)
         registry.counter("session.requests.traced").inc(5)
-        result = probe.check(registry, events.NoOpJournal())
+        result = probe.check(registry, off_journal())
         assert result.verdict == OK
         assert "5 of 100" in result.detail
 
@@ -482,7 +473,7 @@ class TestRequestTracingProbe:
         )
         registry.counter("session.requests").inc(50)
         registry.counter("session.requests.traced").inc(50)
-        result = probe.check(registry, events.NoOpJournal())
+        result = probe.check(registry, off_journal())
         assert result.verdict == DEGRADED
         assert "tracing left on" in result.detail
 
@@ -492,7 +483,7 @@ class TestRequestTracingProbe:
         probe = RequestTracingProbe(min_requests=100)
         registry.counter("session.requests").inc(3)
         registry.counter("session.requests.traced").inc(3)
-        result = probe.check(registry, events.NoOpJournal())
+        result = probe.check(registry, off_journal())
         assert result.verdict == OK
 
     def test_in_default_probe_set(self):

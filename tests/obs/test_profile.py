@@ -1,20 +1,11 @@
 """The execution profiler: per-operator attribution and the global switch."""
 
-import pytest
-
 from repro.core.flat import FlatRelation
 from repro.core.index import Catalog
 from repro.core.query import analyze, eq, optimize, scan
 from repro.core.relation import GeneralizedRelation, join_with_fastpath
 from repro.obs import profile
-from repro.obs.profile import NOOP, NoOpProfiler, OpProfile, Profiler
-
-
-@pytest.fixture(autouse=True)
-def restore_global_profiler():
-    previous = profile.CURRENT
-    yield
-    profile.set_profiler(previous)
+from repro.obs.profile import OpProfile, Profiler
 
 
 class FakeClock:
@@ -98,7 +89,7 @@ class TestReport:
 
     def test_empty_report_points_at_the_switch(self):
         assert "no profiled operators" in Profiler().report()
-        assert "profiler is off" in NoOpProfiler().report()
+        assert "profiler is off" in profile.CURRENT.report()
 
 
 class TestPlanAttribution:
@@ -172,34 +163,32 @@ class TestPlanAttribution:
         assert op.rows_out == len(joined) == 3
         assert op.pairs_tried == 3
 
-    def test_disabled_profiler_records_nothing_through_execute(self):
+    def test_disabled_profiler_records_nothing_through_execute(
+        self, monkeypatch
+    ):
         profile.disable()
         catalog = star_catalog()
         plan = scan("emp").where(eq("Salary", 42))
         calls = []
-        original = NoOpProfiler.record
-        NoOpProfiler.record = lambda self, *a, **k: calls.append(a)  # type: ignore[assignment]
-        try:
-            plan.execute(catalog)
-        finally:
-            NoOpProfiler.record = original  # type: ignore[assignment]
+        monkeypatch.setattr(
+            profile.CURRENT, "record", lambda *a, **k: calls.append(a)
+        )
+        plan.execute(catalog)
         assert calls == []
 
 
 class TestGlobalSwitch:
     def test_default_is_disabled(self):
-        profile.set_profiler(None)
-        assert profile.CURRENT is NOOP
-        assert not profile.get_profiler().enabled
+        assert not profile.CURRENT.enabled
 
     def test_enable_disable_round_trip_leaves_no_stale_state(self):
         profile.disable()
         first = profile.enable()
         first.record("old", 1.0)
         profile.disable()
-        assert profile.CURRENT is NOOP
+        assert not profile.CURRENT.enabled
         second = profile.enable()
-        assert second is not first
+        assert second is first
         assert second.ops() == []
 
     def test_module_level_report_follows_current(self):

@@ -1,9 +1,9 @@
-"""Span nesting, timing, formatting, and the disabled no-op tracer."""
+"""Span nesting, timing, formatting, and the global switch."""
 
 import pytest
 
-from repro.obs import trace
-from repro.obs.trace import NOOP, NoOpTracer, Span, Tracer
+from repro.obs import events, trace
+from repro.obs.trace import Span, Tracer
 
 
 class FakeClock:
@@ -15,14 +15,6 @@ class FakeClock:
     def __call__(self):
         self.now += 1.0
         return self.now
-
-
-@pytest.fixture(autouse=True)
-def restore_global_tracer():
-    """Leave the process-global tracer exactly as this test found it."""
-    previous = trace.CURRENT
-    yield
-    trace.set_tracer(previous)
 
 
 class TestSpanRecording:
@@ -109,34 +101,42 @@ class TestSpanRecording:
 
 
 class TestNoOpTracer:
+    """The off tracer is the no-op tracer: ``trace.CURRENT`` before
+    :func:`trace.enable` (or after :func:`trace.disable`)."""
+
     def test_disabled_flag_and_no_recording(self):
-        assert NOOP.enabled is False
-        with NOOP.span("anything", k=1) as span_obj:
+        tracer = trace.CURRENT
+        assert tracer.enabled is False
+        with tracer.span("anything", k=1) as span_obj:
             span_obj.annotate(more=2)
-        assert NOOP.spans() == []
-        assert NOOP.find("anything") == []
-        assert list(NOOP.roots) == []
+        assert tracer.spans() == []
+        assert tracer.find("anything") == []
+        assert list(tracer.roots) == []
+        assert tracer.last_span is None
 
     def test_span_is_the_shared_singleton(self):
         # The disabled path allocates nothing per call.
-        assert NOOP.span("a") is NOOP.span("b")
+        tracer = trace.CURRENT
+        assert tracer.span("a") is tracer.span("b")
+        assert not isinstance(tracer.span("a"), Span)
 
     def test_clear_is_harmless(self):
-        NOOP.clear()
+        tracer = trace.CURRENT
+        tracer.clear()
+        assert tracer.enabled is False
+        assert list(tracer.roots) == []
 
 
 class TestGlobalSwitch:
     def test_default_is_disabled(self):
-        trace.set_tracer(None)
-        assert trace.CURRENT is NOOP
-        assert not trace.get_tracer().enabled
+        assert not trace.CURRENT.enabled
 
     def test_enable_installs_recording_tracer(self):
         trace.disable()
         tracer = trace.enable()
         assert isinstance(tracer, Tracer)
         assert trace.CURRENT is tracer
-        assert trace.get_tracer().enabled
+        assert trace.CURRENT.enabled
 
     def test_enable_twice_keeps_recorded_spans(self):
         trace.disable()
@@ -147,10 +147,19 @@ class TestGlobalSwitch:
         assert len(tracer.find("kept")) == 1
 
     def test_disable_restores_noop(self):
-        trace.enable()
+        tracer = trace.enable()
+        with trace.span("dropped"):
+            pass
         trace.disable()
-        assert trace.CURRENT is NOOP
-        assert isinstance(trace.CURRENT, NoOpTracer)
+        assert trace.CURRENT is tracer
+        assert not tracer.enabled
+        assert tracer.find("dropped") == []
+
+    def test_span_open_at_disable_publishes_nothing(self):
+        journal = events.enable()
+        with trace.enable().span("in-flight"):
+            trace.disable()
+        assert journal.events(subsystem="trace") == []
 
     def test_module_level_span_follows_current(self):
         tracer = trace.enable()
@@ -160,7 +169,8 @@ class TestGlobalSwitch:
         trace.disable()
         with trace.span("global.op"):
             pass
-        assert len(tracer.find("global.op")) == 1  # unchanged
+        # disable() dropped the first span; the second went nowhere.
+        assert tracer.find("global.op") == []
 
 
 class TestSpanToDict:

@@ -22,11 +22,8 @@ from repro.types.dynamic import dynamic
 
 @pytest.fixture(autouse=True)
 def journal():
-    """A fresh recording journal per test, restored afterwards."""
-    previous = events.CURRENT
-    events.set_journal(events.EventJournal())
-    yield events.CURRENT
-    events.set_journal(previous)
+    """The process-global journal, switched on empty for each test."""
+    return events.enable()
 
 
 class TestHeapCommitAudit:

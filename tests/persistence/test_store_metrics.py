@@ -129,18 +129,13 @@ def test_replay_span_recorded_when_tracing(tmp_path):
     with LogStore(path) as store:
         store.put("k", {"v": 1})
 
-    previous = trace.CURRENT
-    try:
-        tracer = trace.enable()
-        tracer.clear()
-        with LogStore(path):
-            pass
-        replays = tracer.find("store.replay")
-        assert len(replays) == 1
-        assert replays[0].tags["records"] == 1
-        assert replays[0].elapsed is not None
-    finally:
-        trace.set_tracer(previous)
+    tracer = trace.enable()
+    with LogStore(path):
+        pass
+    replays = tracer.find("store.replay")
+    assert len(replays) == 1
+    assert replays[0].tags["records"] == 1
+    assert replays[0].elapsed is not None
 
 
 def test_disabled_tracer_records_no_spans(tmp_path):

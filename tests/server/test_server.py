@@ -14,26 +14,15 @@ from collections import deque
 import pytest
 
 from repro.errors import RemoteError, SessionClosedError
-from repro.obs import events, monitor, profile, slowlog, trace
 from repro.obs.metrics import REGISTRY, reset_metrics
 from repro.server import Client, ServerThread, protocol
 from repro.server.session import Session
 
 
 @pytest.fixture(autouse=True)
-def clean_globals():
+def clean_metrics():
     reset_metrics()
-    previous_journal = events.CURRENT
-    previous_monitor = monitor.CURRENT
-    previous_slowlog = slowlog.CURRENT
-    previous_tracer = trace.CURRENT
-    previous_profiler = profile.CURRENT
     yield
-    events.set_journal(previous_journal)
-    monitor.set_monitor(previous_monitor)
-    slowlog.set_slowlog(previous_slowlog)
-    trace.set_tracer(previous_tracer)
-    profile.set_profiler(previous_profiler)
     reset_metrics()
 
 
@@ -411,6 +400,20 @@ class TestGracefulDrain:
 
 
 class TestHealthOverTheWire:
+    def test_bad_slow_threshold_is_a_typed_error(self):
+        with ServerThread() as server:
+            with Client(server.host, server.port) as client:
+                client.stat("slow", action="threshold", threshold=5)
+                for bad in ("abc", "nan", "inf", -1):
+                    with pytest.raises(RemoteError) as info:
+                        client.stat(
+                            "slow", action="threshold", threshold=bad
+                        )
+                    assert info.value.kind == "EvalError"
+                # The log stayed on with its old threshold.
+                reply = client.stat("slow", action="on")["text"]
+                assert reply == "slow-query log on (threshold 5.0ms)"
+
     def test_health_stat_includes_session_probe(self):
         with ServerThread(limit=2) as server:
             with Client(server.host, server.port) as client:

@@ -3,24 +3,16 @@
 import pytest
 
 from repro.errors import EvalError, SessionClosedError, TypeCheckError
-from repro.obs import events, monitor, slowlog, trace
+from repro.obs import events, slowlog, trace
 from repro.obs.metrics import reset_metrics
 from repro.persistence.store import LogStore
 from repro.server.session import OBS_KINDS, STAT_KINDS, Session
 
 
 @pytest.fixture(autouse=True)
-def clean_globals():
+def clean_metrics():
     reset_metrics()
-    previous_journal = events.CURRENT
-    previous_monitor = monitor.CURRENT
-    previous_slowlog = slowlog.CURRENT
-    previous_tracer = trace.CURRENT
     yield
-    events.set_journal(previous_journal)
-    monitor.set_monitor(previous_monitor)
-    slowlog.set_slowlog(previous_slowlog)
-    trace.set_tracer(previous_tracer)
     reset_metrics()
 
 
@@ -136,6 +128,14 @@ class TestStat:
         session = Session()
         session.run("1 + 1")
         assert "lang.runs" in session.stat("stats", target="")["text"]
+
+    def test_slow_threshold_must_be_finite_and_not_negative(self):
+        session = Session()
+        session.stat("slow", action="threshold", threshold=5)
+        for bad in ("abc", "nan", float("inf"), -1.0, None):
+            with pytest.raises(EvalError, match="slow threshold"):
+                session.stat("slow", action="threshold", threshold=bad)
+        assert slowlog.CURRENT.threshold_ms == 5.0
 
     def test_stats_reset(self):
         session = Session()
@@ -256,7 +256,7 @@ class TestRequestTracking:
         trace.enable()
         reply = session.run("6 * 7")
         trace.disable()
-        assert trace.NOOP.roots == ()
+        assert trace.CURRENT.roots == []
         assert "lang.run" in reply["trace"]
         event = session.request_log.find(reply["request_id"])
         assert event.spans

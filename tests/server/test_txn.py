@@ -20,7 +20,6 @@ import pytest
 
 from repro.errors import RemoteError, TransactionConflictError
 from repro.lang.repl import Repl
-from repro.obs import events, monitor, profile, slowlog, trace
 from repro.obs.metrics import REGISTRY, reset_metrics
 from repro.server import Client, ServerThread
 from repro.server.broker import SessionBroker, default_workers
@@ -28,19 +27,9 @@ from repro.server.session import Session
 
 
 @pytest.fixture(autouse=True)
-def clean_globals():
+def clean_metrics():
     reset_metrics()
-    previous_journal = events.CURRENT
-    previous_monitor = monitor.CURRENT
-    previous_slowlog = slowlog.CURRENT
-    previous_tracer = trace.CURRENT
-    previous_profiler = profile.CURRENT
     yield
-    events.set_journal(previous_journal)
-    monitor.set_monitor(previous_monitor)
-    slowlog.set_slowlog(previous_slowlog)
-    trace.set_tracer(previous_tracer)
-    profile.set_profiler(previous_profiler)
     reset_metrics()
 
 
