@@ -23,16 +23,27 @@ real TCP frames:
   handle: every attempt either commits or raises the retryable
   ``TransactionConflictError``, and the final counter must equal the
   number of successful commits exactly (no lost updates, no double
-  counts — checked, and a mismatch fails the run).
+  counts — checked, and a mismatch fails the run);
+* **put cost** — in process, on a memory-backed
+  ``TransactionManager``: the median autocommit ``put`` after N
+  distinct handles were touched, N = 10, 1,000 and 10,000, once with
+  no transaction open and once with one open transaction pinning the
+  prune horizon (so every touched handle keeps a chain).  A commit's
+  bookkeeping is priced by its own write set, so both series stay
+  flat: the run fails if the largest N costs more than 3x N = 10 in
+  either series, or if any version chain is left once no transaction
+  is open.
 
-Artifacts: ``BENCH_txn.json`` (qps per mode, conflict tallies, the
-``txn.*`` metric snapshot) and ``BENCH_txn.trace.json``.
+Artifacts: ``BENCH_txn.json`` (qps per mode, conflict tallies, put cost
+per N and the chains left, the ``txn.*`` metric snapshot) and
+``BENCH_txn.trace.json``.
 
 Run:  python benchmarks/bench_txn.py [--quick]
 """
 
 import os
 import shutil
+import statistics
 import tempfile
 import threading
 import time
@@ -44,10 +55,13 @@ except ImportError:
 
 from repro.errors import TransactionConflictError
 from repro.obs.metrics import REGISTRY
+from repro.persistence.mvcc import TransactionManager
 from repro.server import Client, ServerThread
 
 READERS = 16
 WRITE_VALUE = 41
+PUT_COST_SIZES = (10, 1000, 10000)
+PUT_COST_GATE = 3.0  # largest N over N = 10, per series
 
 
 class ReaderWorker(threading.Thread):
@@ -241,6 +255,58 @@ def conflict_phase(writer, attempts, failures):
               % (final, len(commits)))
 
 
+def put_cost_phase(writer, samples, failures):
+    """Median autocommit-put cost after N distinct handles were touched,
+    free and with one open transaction pinning the horizon."""
+    print("autocommit put cost, median of %d puts after N handles were"
+          " touched" % samples)
+    print("%-8s %8s %12s %12s %12s" % (
+        "series", "N", "median_us", "chains_held", "chains_left"))
+    for series in ("free", "pinned"):
+        costs = {}
+        for size in PUT_COST_SIZES:
+            txns = TransactionManager(memory={})
+            pin = txns.begin() if series == "pinned" else None
+            for index in range(size):
+                txns.put("h%d" % index, index)
+            timings = []
+            for sample in range(samples):
+                handle = "h%d" % (sample % size)
+                started = time.perf_counter()
+                txns.put(handle, sample)
+                timings.append(time.perf_counter() - started)
+            held = txns.version_chains()
+            if pin is not None:
+                pin.abort()
+            left = txns.version_chains()
+            costs[size] = statistics.median(timings) * 1e6
+            writer.record(
+                "put_cost_%s" % series,
+                size,
+                sum(timings),
+                median_us=round(costs[size], 2),
+                chains_held=held,
+                chains_left=left,
+            )
+            print("%-8s %8d %12.2f %12d %12d" % (
+                series, size, costs[size], held, left))
+            if left:
+                failures.append(
+                    "%s put cost at N=%d: %d version chain(s) left with no"
+                    " transaction open" % (series, size, left)
+                )
+        smallest, largest = PUT_COST_SIZES[0], PUT_COST_SIZES[-1]
+        ratio = costs[largest] / costs[smallest]
+        if ratio > PUT_COST_GATE:
+            failures.append(
+                "%s put cost grows with the handles touched: %.1f us at"
+                " N=%d vs %.1f us at N=%d (%.1fx > %.1fx)"
+                % (series, costs[largest], largest, costs[smallest],
+                   smallest, ratio, PUT_COST_GATE)
+            )
+    print()
+
+
 def main():
     quick = quick_requested()
     writer = ResultsWriter("txn", quick=quick)
@@ -248,6 +314,7 @@ def main():
     attempts = 5 if quick else 25
 
     failures = []
+    put_cost_phase(writer, 300 if quick else 1000, failures)
     store_dir = tempfile.mkdtemp(prefix="bench-txn-")
     try:
         print("read throughput, %d clients x %d checked reads"
@@ -293,7 +360,7 @@ def main():
             print("  " + failure)
         raise SystemExit(1)
     print("\npooled beats serialized under write load; zero conflicts "
-          "escaped their transactions")
+          "escaped their transactions; put cost flat in the handles touched")
 
 
 if __name__ == "__main__":

@@ -561,9 +561,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = argv if argv is not None else sys.argv[1:]
     store = argv[0] if argv else None
     # Interactive sessions fly with the recorder on: anomalies (torn
-    # records, divergent re-interns) land in :events even when the user
-    # never asked for them in advance — so the journal must be live
-    # before the store replays its log.  Adaptive estimation is on for
+    # records, transaction conflicts) land in :events even when the
+    # user never asked for them in advance — so the journal must be
+    # live before the store replays its log.  Divergent re-interns do
+    # not: that audit lives only in ReplicatingStore, which this
+    # interpreter never uses (ROADMAP item 1 moves it into the extern
+    # namespace).  Adaptive estimation is on for
     # the same reason: repeated :explain runs should self-correct
     # (:adaptive off restores purely static estimates).  Columnar
     # execution is on because interactive queries should run at the

@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.obs import events as _events
@@ -772,6 +772,13 @@ class TransactionManager:
     stores written without it (a crash inside the commit window replays
     to the state before the commit).
 
+    A chain lives only while some open snapshot can still read an older
+    version than the backing store holds, so the chains are bounded by
+    the handles written since the oldest active snapshot (plus those
+    seeded since the last prune).  A commit's bookkeeping costs its own
+    read ∪ write set plus the epochs committed since its snapshot, never
+    the number of handles ever touched.
+
     Non-transactional sessions keep working: :meth:`get` / :meth:`put`
     are single-operation (autocommit) transactions.
     """
@@ -788,9 +795,14 @@ class TransactionManager:
             self._memory = memory
         self._lock = threading.RLock()
         # handle -> [(epoch, value-or-None)] sorted by epoch; epoch 0 is
-        # the backing store's value when the chain was first consulted.
+        # the backing store's value when the chain was seeded.
         self._chains: Dict[str, List[Tuple[int, Optional[object]]]] = {}
-        self._commit_writes: Dict[int, FrozenSet[str]] = {}
+        # (epoch, handles it wrote) for every epoch above the last prune
+        # horizon, oldest first: the history conflict validation scans,
+        # and the chains the next prune has to revisit.
+        self._writes: List[Tuple[int, FrozenSet[str]]] = []
+        # handles whose chains were seeded since the last prune
+        self._seeded: Set[str] = set()
         self._epoch = 0
         self._next_tid = 1
         self._active: Dict[int, "SessionTransaction"] = {}
@@ -817,21 +829,43 @@ class TransactionManager:
         if chain is None:
             chain = [(0, self._backing_get(handle))]
             self._chains[handle] = chain
+            self._seeded.add(handle)
         return chain
 
     def _value_at(self, handle: str, snapshot: int) -> Optional[object]:
         chain = self._chain(handle)
-        index = bisect_right([epoch for epoch, _ in chain], snapshot) - 1
+        # ``(snapshot + 1,)`` sorts after every entry at or below the
+        # snapshot and before every later one, without comparing values.
+        index = bisect_left(chain, (snapshot + 1,)) - 1
         return chain[index][1] if index >= 0 else None
 
     def _prune(self) -> None:
+        """Trim the chains the horizon has moved past; drop dead ones.
+
+        Every chain left by the last prune holds one version at or below
+        that horizon and at least one above it, so only two kinds can
+        need work now: handles written by the epochs the horizon has
+        since passed, and chains seeded since the last prune.  A chain
+        whose newest version is at or below the horizon equals the
+        backing store for every snapshot that can still read it, so it
+        goes; a later snapshot read reseeds it from the backing store.
+        """
         horizon = self._oldest_snapshot()
-        for handle, chain in list(self._chains.items()):
-            keep = bisect_right([epoch for epoch, _ in chain], horizon) - 1
-            if keep > 0:
-                self._chains[handle] = chain[keep:]
-        for epoch in [e for e in self._commit_writes if e <= horizon]:
-            del self._commit_writes[epoch]
+        passed = bisect_left(self._writes, (horizon + 1,))
+        visit = self._seeded
+        self._seeded = set()
+        for __, handles in self._writes[:passed]:
+            visit.update(handles)
+        del self._writes[:passed]
+        for handle in visit:
+            chain = self._chains.get(handle)
+            if chain is None:
+                continue
+            keep = bisect_left(chain, (horizon + 1,)) - 1
+            if keep == len(chain) - 1:
+                del self._chains[handle]
+            elif keep > 0:
+                del chain[:keep]
 
     def _oldest_snapshot(self) -> int:
         snapshots = [txn.snapshot for txn in self._active.values()]
@@ -847,6 +881,10 @@ class TransactionManager:
     def active_transactions(self) -> int:
         """How many session transactions are currently open."""
         return len(self._active)
+
+    def version_chains(self) -> int:
+        """How many handles currently keep an in-memory version chain."""
+        return len(self._chains)
 
     def get(self, handle: str) -> Optional[object]:
         """Read the committed value of ``handle`` (``None`` when absent).
@@ -872,7 +910,7 @@ class TransactionManager:
             self._epoch += 1
             epoch = self._epoch
             chain.append((epoch, document))
-            self._commit_writes[epoch] = frozenset((handle,))
+            self._writes.append((epoch, frozenset((handle,))))
             self._prune()
         return epoch
 
@@ -969,10 +1007,12 @@ class SessionTransaction:
             return self.snapshot, 0
         sweep = self.reads | set(self.writes)
         with manager._lock:
-            for epoch in sorted(manager._commit_writes):
-                if epoch <= self.snapshot:
-                    continue
-                overlap = manager._commit_writes[epoch] & sweep
+            # Every epoch above this snapshot is still in the history:
+            # the prune horizon never passes an open snapshot.
+            history = manager._writes
+            since = bisect_left(history, (self.snapshot + 1,))
+            for epoch, handles in history[since:]:
+                overlap = handles & sweep
                 if overlap:
                     self._end()
                     _metrics.REGISTRY.counter("txn.conflict").inc()
@@ -1012,10 +1052,9 @@ class SessionTransaction:
             epoch = manager._epoch
             for handle, document in self.writes.items():
                 chains[handle].append((epoch, document))
-            manager._commit_writes[epoch] = frozenset(self.writes)
+            manager._writes.append((epoch, frozenset(self.writes)))
             written = len(self.writes)
             self._end()
-            manager._prune()
         _metrics.REGISTRY.counter("txn.commit").inc()
         _metrics.REGISTRY.histogram("txn.commit.seconds").observe(
             time.perf_counter() - started
@@ -1034,9 +1073,14 @@ class SessionTransaction:
         _journal("DEBUG", "abort", tid=self.tid, owner=self.owner, layer="extern")
 
     def _end(self) -> None:
+        # Every way out (commit, read-only commit, conflict, abort, a
+        # failed store write, a dropped connection) may advance the
+        # horizon, so each one prunes.
         self._active_flag = False
-        with self._manager._lock:
-            self._manager._active.pop(self.tid, None)
+        manager = self._manager
+        with manager._lock:
+            manager._active.pop(self.tid, None)
+            manager._prune()
 
     def __enter__(self) -> "SessionTransaction":
         return self

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import EvalError, TypeCheckError
 from repro.lang.eval import Interpreter, RuntimeRecord, format_value, run_program
+from repro.persistence.store import LogStore
 from repro.types.dynamic import Dynamic
 from repro.types.kinds import INT, record_type
 
@@ -241,6 +242,33 @@ class TestPersistenceBuiltins:
         )
         result = interp.run('coerce intern("h") to {N: Int, M: Int}')
         assert result.value.get("M") == 2
+
+    @staticmethod
+    def _check_no_stale_intern(first, second):
+        """Standalone interpreters each build their own transaction
+        manager: one's extern must reach the other's later transactions,
+        not only its autocommit interns."""
+        first.run('extern("h", dynamic 1);')
+        second.run('extern("h", dynamic 2);')
+        assert first.run('coerce intern("h") to Int').value == 2
+        first.begin_transaction()
+        assert first.run('coerce intern("h") to Int').value == 2
+        first.abort_transaction()
+
+    def test_transaction_sees_another_interpreters_extern(self):
+        shared = {}
+        self._check_no_stale_intern(
+            Interpreter(memory_store=shared), Interpreter(memory_store=shared)
+        )
+
+    def test_transaction_sees_another_interpreters_extern_on_disk(
+        self, tmp_path
+    ):
+        store = LogStore(str(tmp_path / "shared.log"))
+        try:
+            self._check_no_stale_intern(Interpreter(store), Interpreter(store))
+        finally:
+            store.close()
 
 
 class TestSessionsAndOutput:

@@ -560,3 +560,127 @@ class TestTransactionManager:
         reopened = LogStore(path)
         assert reopened.get("extern:x") == {"n": 1}
         reopened.close()
+
+
+class TestVersionChainBounds:
+    """A chain lives only while an open snapshot can read an older
+    version than the backing store holds."""
+
+    def test_autocommit_puts_leave_no_chains(self):
+        txns = TransactionManager(memory={})
+        for index in range(50):
+            txns.put("h%d" % index, index)
+        assert txns.version_chains() == 0
+        assert txns.get("h7") == 7
+
+    def test_open_snapshot_keeps_only_what_it_can_see_differ(self):
+        txns = TransactionManager(memory={})
+        for index in range(10):
+            txns.put("h%d" % index, index)
+        reader = txns.begin()
+        txns.put("h1", 100)
+        txns.put("h2", 200)
+        txns.put("h2", 201)
+        # Only the handles written since the reader's snapshot.
+        assert txns.version_chains() == 2
+        assert reader.read("h1") == 1
+        assert reader.read("h2") == 2
+        assert reader.read("h5") == 5
+        reader.abort()
+        assert txns.version_chains() == 0
+
+    def test_every_way_out_of_a_transaction_prunes(self):
+        txns = TransactionManager(memory={})
+        txns.put("x", 0)
+
+        def pinned_history():
+            txn = txns.begin()
+            txn.read("x")
+            txns.put("x", txns.get("x") + 1)
+            assert txns.version_chains() == 1
+            return txn
+
+        pinned_history().abort()
+        assert txns.version_chains() == 0
+        epoch, written = pinned_history().commit()  # read-only
+        assert written == 0
+        assert txns.version_chains() == 0
+        loser = pinned_history()
+        loser.write("x", -1)
+        with pytest.raises(TransactionConflictError) as exc_info:
+            loser.commit()
+        assert exc_info.value.keys == ("x",)
+        assert exc_info.value.winner_epoch == txns.current_epoch
+        assert txns.version_chains() == 0
+        with txns.begin() as scoped:
+            txns.put("x", 9)
+            scoped.write("y", 1)
+            assert txns.version_chains() == 1
+        assert txns.version_chains() == 0
+        assert txns.active_transactions() == 0
+
+    def test_a_read_seeded_chain_goes_at_the_next_prune(self):
+        txns = TransactionManager(memory={"cold": 1})
+        reader = txns.begin()
+        assert reader.read("cold") == 1
+        assert txns.version_chains() == 1
+        txns.put("other", 2)
+        # The chain left is the one written since the snapshot.
+        assert txns.version_chains() == 1
+        assert "cold" not in txns._chains
+        # A later read reseeds from the backing store.
+        assert reader.read("cold") == 1
+        assert reader.read("other") is None
+        reader.abort()
+        assert txns.version_chains() == 0
+
+
+class TestWritesThatBypassTheManager:
+    """Two managers over one backing store (standalone interpreters
+    each build their own): a handle one manager wrote must not keep
+    reading its old value inside the other's later transactions."""
+
+    def _stale_intern(self, first, second):
+        first.put("h", 1)
+        second.put("h", 2)
+        assert first.get("h") == 2
+        txn = first.begin()
+        assert txn.read("h") == 2
+        txn.abort()
+        assert first.version_chains() == 0
+
+    def test_two_managers_over_one_dict(self):
+        shared = {}
+        self._stale_intern(
+            TransactionManager(memory=shared), TransactionManager(memory=shared)
+        )
+
+    def test_two_managers_over_one_log_store(self, tmp_path):
+        store = LogStore(str(tmp_path / "shared.log"))
+        try:
+            self._stale_intern(
+                TransactionManager(store=store), TransactionManager(store=store)
+            )
+        finally:
+            store.close()
+
+    def test_an_older_open_snapshot_keeps_its_chain(self):
+        """The window that remains: while an older transaction of this
+        manager is open, a handle the manager wrote after that snapshot
+        reads from its chain, so a bypassing write stays invisible to new
+        transactions until the older one ends."""
+        shared = {}
+        mine = TransactionManager(memory=shared)
+        theirs = TransactionManager(memory=shared)
+        mine.put("h", 1)
+        old = mine.begin()
+        mine.put("h", 2)
+        theirs.put("h", 3)
+        newer = mine.begin()
+        assert old.read("h") == 1
+        assert newer.read("h") == 2
+        newer.abort()
+        old.abort()
+        latest = mine.begin()
+        assert latest.read("h") == 3
+        latest.abort()

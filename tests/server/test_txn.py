@@ -155,6 +155,31 @@ class TestWireTransactions:
                 with pytest.raises(RemoteError):
                     other.run('coerce intern("x") to Int')
 
+    def test_disconnect_leaves_no_version_chains(self):
+        """Chains a dropped transaction's snapshot kept alive go with it."""
+        handles = ("a", "b", "c")
+        with ServerThread() as server:
+            txns = server.server.broker.txns
+            with Client(server.host, server.port) as writer:
+                for handle in handles:
+                    writer.run('extern("%s", dynamic 0);' % handle)
+                reader = Client(server.host, server.port)
+                reader.begin()
+                for handle in handles:
+                    assert read_counter(reader, handle) == 0
+                for handle in handles:
+                    writer.run('extern("%s", dynamic 1);' % handle)
+                assert txns.version_chains() == len(handles)
+                reader.close()
+                deadline = time.time() + 5.0
+                while (
+                    txns.active_transactions() or txns.version_chains()
+                ) and time.time() < deadline:
+                    time.sleep(0.05)
+                assert txns.active_transactions() == 0
+                assert txns.version_chains() == 0
+                assert read_counter(writer, "b") == 1
+
     def test_txn_metrics_count_conflicts(self):
         with ServerThread() as server:
             with Client(server.host, server.port) as a, Client(
