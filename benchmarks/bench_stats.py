@@ -1,16 +1,30 @@
 """Statistics collection cost and cost-based planning overhead.
 
 The cost-based optimizer is only worth having if its two overheads stay
-small: ``analyze`` is a deliberate, amortized scan (one pass per column
-plus a sort for the histogram), and consulting statistics at ``optimize``
-time must stay in the microsecond range because every query pays it.
-This benchmark measures both on the skewed-orders workload
-(:mod:`repro.workloads.queries`), and reports the payoff — worst-case
-estimate drift with and without statistics on the same plan.
+small: ``analyze`` is a deliberate, amortized scan (one transpose of the
+rows, then one count and one sort of the distinct values per column),
+and consulting statistics at ``optimize`` time must stay in the
+microsecond range because every query pays it.  This benchmark measures
+both on the skewed-orders workload (:mod:`repro.workloads.queries`), and
+reports the payoff — worst-case estimate drift with and without
+statistics on the same plan.
+
+It also gates what ANALYZE and an index build cost against the work
+their column needs.  On the star catalog's ``emp`` (2,000 rows with
+``--quick``, 20,000 otherwise) it takes the median of repeated
+``Catalog.analyze``, ``Catalog.create_index`` on ``Emp``, and a *floor*
+— a bare ``Counter`` plus ``sorted`` of each of the three columns,
+already transposed — interleaved in one run.  The run exits 1 if
+ANALYZE costs more than 6x the floor or the index build more than 3x.
 
 Run:  pytest benchmarks/bench_stats.py --benchmark-only
-      python benchmarks/bench_stats.py      (prints the table)
+      python benchmarks/bench_stats.py [--quick]   (prints the table)
 """
+
+import statistics
+import sys
+import time
+from collections import Counter
 
 import pytest
 
@@ -19,8 +33,14 @@ from repro.core.query import analyze as run_analyze
 from repro.core.query import optimize
 from repro.stats.collect import analyze as collect_stats
 from repro.workloads.queries import orders_query, skewed_orders
+from repro.workloads.relations import star_catalog
 
 SIZES = [400, 4000]
+COLUMN_WORK_ROWS = 20_000
+QUICK_COLUMN_WORK_ROWS = 2_000
+COLUMN_WORK_REPEATS = 7
+ANALYZE_GATE = 6.0  # analyze over the floor
+INDEX_GATE = 3.0  # create_index over the floor
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -52,6 +72,54 @@ def test_planning_without_stats(benchmark, size):
 def _max_drift_ratio(plan, catalog):
     __, stats = run_analyze(optimize(plan, catalog), catalog)
     return max(node.drift_ratio for node in stats.walk())
+
+
+def column_work(writer, rows, repeats):
+    """Median ANALYZE and index-build times on the star ``emp`` against
+    the floor of counting and sorting its columns; returns the gate
+    failures."""
+    emp = star_catalog(rows)["emp"]
+    columns = list(zip(*emp.rows))
+    catalog = Catalog({"emp": emp})
+
+    def floor():
+        for column in columns:
+            Counter(column)
+            sorted(column)
+
+    cases = (
+        ("floor", floor),
+        ("analyze", lambda: catalog.analyze("emp")),
+        ("create_index", lambda: catalog.create_index("emp", "Emp")),
+    )
+    samples = {name: [] for name, __ in cases}
+    for __ in range(repeats):  # interleaved, so drift hits all three
+        for name, fn in cases:
+            started = time.perf_counter()
+            fn()
+            samples[name].append(time.perf_counter() - started)
+    medians = {name: statistics.median(times) for name, times in samples.items()}
+    floor_t = medians["floor"]
+    print("\ncolumn work — star emp, %d rows, median of %d" % (rows, repeats))
+    print("%-14s %12s %10s %8s" % ("op", "median(ms)", "x floor", "gate"))
+    failures = []
+    for name, gate in (("floor", None), ("analyze", ANALYZE_GATE),
+                       ("create_index", INDEX_GATE)):
+        ratio = medians[name] / floor_t
+        writer.record(
+            "column_work_" + name, rows, medians[name],
+            ratio_to_floor=ratio, repeats=repeats, gate=gate,
+        )
+        print("%-14s %12.3f %9.2fx %8s" % (
+            name, medians[name] * 1e3, ratio,
+            "-" if gate is None else "%.0fx" % gate,
+        ))
+        if gate is not None and ratio > gate:
+            failures.append(
+                "%s costs %.1fx the floor of counting and sorting the"
+                " columns (gate %.0fx)" % (name, ratio, gate)
+            )
+    return failures
 
 
 def main():
@@ -113,7 +181,17 @@ def main():
         )
 
     print("\n(plan columns time %d optimize() calls)" % plan_repeats)
+
+    failures = column_work(
+        writer,
+        QUICK_COLUMN_WORK_ROWS if quick else COLUMN_WORK_ROWS,
+        COLUMN_WORK_REPEATS,
+    )
     print("results -> %s" % writer.write())
+    if failures:
+        for failure in failures:
+            print("FAIL: " + failure, file=sys.stderr)
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

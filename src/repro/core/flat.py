@@ -163,22 +163,6 @@ class FlatRelation:
 
     # -- algebra ----------------------------------------------------------------
 
-    def column(self, attribute: str) -> Tuple[AtomPayload, ...]:
-        """Every row's value of ``attribute`` (duplicates preserved).
-
-        The single-pass accessor the statistics collector
-        (:mod:`repro.stats.collect`) scans; one value per row, in the
-        same deterministic order as :meth:`__iter__`.
-        """
-        if attribute not in self._schema:
-            raise SchemaMismatchError(
-                "no column %r in schema %r" % (attribute, self._schema)
-            )
-        position = self._schema.index(attribute)
-        return tuple(
-            row[position] for row in sorted(self._rows, key=repr)
-        )
-
     def select(self, predicate: Callable[[Dict[str, AtomPayload]], bool]) -> "FlatRelation":
         """Rows satisfying ``predicate`` (given attribute→value dicts)."""
         kept = [row for row in self._rows if predicate(dict(zip(self._schema, row)))]

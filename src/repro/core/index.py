@@ -15,25 +15,34 @@ binding a new one (and re-indexing), exactly like every other value.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.flat import FlatRelation
 from repro.errors import RelationError
 from repro.obs import metrics as _metrics
 from repro.stats.collect import TableStats
 from repro.stats.collect import analyze as _collect_stats
+from repro.stats.histogram import order_key, uniform_scalar_type
 
 
 class SortedIndex:
     """A sorted index on one attribute of a flat relation.
 
     Supports ``lookup_eq`` and ``lookup_range`` (both ends optional,
-    inclusive/exclusive), returning rows as attribute→value dicts.
-    Mixed-type attribute values are ordered by (type name, value) so the
-    sort is total even when ints and strings share a column.
+    inclusive/exclusive), returning rows as attribute→value dicts, and
+    ``select``, returning them as a relation.  Mixed-type attribute
+    values are ordered by (type name, value) — :func:`order_key` — so
+    the sort is total even when ints and strings share a column.
+
+    The relation's row tuples are sorted once and kept as tuples; dicts
+    are built only for the rows a lookup returns.  When every value of
+    the attribute has one scalar type the values are their own sort
+    keys, and a lookup operand of another type sorts before or after
+    all of them by its type name.  The order among rows with equal keys
+    is unspecified.
     """
 
-    __slots__ = ("_attribute", "_schema", "_keys", "_rows")
+    __slots__ = ("_attribute", "_schema", "_keys", "_rows", "_tag")
 
     def __init__(self, relation: FlatRelation, attribute: str):
         if attribute not in relation.schema:
@@ -43,17 +52,18 @@ class SortedIndex:
             )
         self._attribute = attribute
         self._schema = relation.schema
-        pairs = sorted(
-            ((self._key(row[attribute]), row) for row in relation),
-            key=lambda pair: pair[0],
-        )
-        self._keys = [key for key, __ in pairs]
-        self._rows = [row for __, row in pairs]
-
-    @staticmethod
-    def _key(value) -> Tuple[str, object]:
-        # bool sorts as its own type, not as int
-        return (type(value).__name__, value)
+        position = relation.schema.index(attribute)
+        rows = list(relation.rows)
+        keys = [row[position] for row in rows]
+        kind = uniform_scalar_type(keys)
+        if kind is None:
+            keys = list(map(order_key, keys))
+        # The type name every key shares when keys are raw values; None
+        # when they are type-tagged order keys.
+        self._tag: Optional[str] = None if kind is None else kind.__name__
+        order = sorted(range(len(rows)), key=keys.__getitem__)
+        self._keys = [keys[i] for i in order]
+        self._rows = [rows[i] for i in order]
 
     @property
     def attribute(self) -> str:
@@ -65,10 +75,7 @@ class SortedIndex:
 
     def lookup_eq(self, value) -> List[Dict[str, object]]:
         """All rows whose indexed attribute equals ``value``."""
-        key = self._key(value)
-        low = bisect_left(self._keys, key)
-        high = bisect_right(self._keys, key)
-        return [dict(row) for row in self._rows[low:high]]
+        return self._dicts(*self._equal(value))
 
     def lookup_range(
         self,
@@ -78,39 +85,58 @@ class SortedIndex:
         high_inclusive: bool = True,
     ) -> List[Dict[str, object]]:
         """All rows with the indexed attribute in the given range."""
-        start = 0
-        end = len(self._rows)
-        if low is not None:
-            key = self._key(low)
-            start = (
-                bisect_left(self._keys, key)
-                if low_inclusive
-                else bisect_right(self._keys, key)
-            )
-        if high is not None:
-            key = self._key(high)
-            end = (
-                bisect_right(self._keys, key)
-                if high_inclusive
-                else bisect_left(self._keys, key)
-            )
-        return [dict(row) for row in self._rows[start:end]]
+        return self._dicts(
+            *self._between(low, high, low_inclusive, high_inclusive)
+        )
 
     def select(self, op: str, operand) -> FlatRelation:
         """Rows satisfying ``attribute <op> operand`` as a relation."""
         if op == "==":
-            rows: Iterable = self.lookup_eq(operand)
+            start, end = self._equal(operand)
         elif op == "<":
-            rows = self.lookup_range(high=operand, high_inclusive=False)
+            start, end = self._between(None, operand, True, False)
         elif op == "<=":
-            rows = self.lookup_range(high=operand)
+            start, end = self._between(None, operand, True, True)
         elif op == ">":
-            rows = self.lookup_range(low=operand, low_inclusive=False)
+            start, end = self._between(operand, None, False, True)
         elif op == ">=":
-            rows = self.lookup_range(low=operand)
+            start, end = self._between(operand, None, True, True)
         else:
             raise RelationError("index cannot answer operator %r" % op)
-        return FlatRelation(self._schema, rows)
+        return FlatRelation.bulk_build(self._schema, self._rows[start:end])
+
+    # -- positions ------------------------------------------------------------
+
+    def _dicts(self, start: int, end: int) -> List[Dict[str, object]]:
+        schema = self._schema
+        return [dict(zip(schema, row)) for row in self._rows[start:end]]
+
+    def _equal(self, value) -> Tuple[int, int]:
+        return self._bisect(value, False), self._bisect(value, True)
+
+    def _between(
+        self, low, high, low_inclusive: bool, high_inclusive: bool
+    ) -> Tuple[int, int]:
+        start = 0 if low is None else self._bisect(low, not low_inclusive)
+        end = (
+            len(self._rows)
+            if high is None
+            else self._bisect(high, high_inclusive)
+        )
+        return start, end
+
+    def _bisect(self, value, after: bool) -> int:
+        """Where ``value`` falls among the keys: before its run of equal
+        keys, or after it when ``after``."""
+        if self._tag is None:
+            key = order_key(value)
+        else:
+            tag = type(value).__name__
+            if tag != self._tag:
+                # Another type sorts wholly before or after this column.
+                return 0 if tag < self._tag else len(self._keys)
+            key = value
+        return (bisect_right if after else bisect_left)(self._keys, key)
 
 
 class Catalog:

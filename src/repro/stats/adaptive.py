@@ -75,7 +75,7 @@ DEFAULT_PRIOR_STRENGTH = 1.0
 DEFAULT_MIN_WEIGHT = 1.0
 
 # Keys are (relation, attribute, operator, value-bucket); the bucket is
-# the operand's order key — type-tagged like SortedIndex._key, so
+# the operand's type-tagged order key (histogram.order_key), so
 # 'shipped' and 'failed' never share evidence, and neither do values of
 # different types.
 Key = Tuple[str, str, str, object]

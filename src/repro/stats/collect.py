@@ -7,6 +7,15 @@ most-common-values list, and an equi-depth histogram.  The cost model
 (:mod:`repro.stats.cost`) turns these into measured selectivities,
 replacing the fixed 0.1/0.5 guesses the optimizer shipped with.
 
+Every statistic is exact and costs about what its column work costs: a
+flat relation's rows are transposed once into columns, and each column
+is counted once (one ``Counter``) and sorted once — only its distinct
+values, shared by min/max and the histogram.  A column whose values all
+have one scalar type is counted and sorted on the values themselves;
+any other column on their type-tagged :func:`order_key`.  The
+most-common values come from a top-k selection, not from sorting every
+distinct value.
+
 Partial records make collection interesting: a
 :class:`~repro.core.relation.GeneralizedRelation` member may simply
 *lack* an attribute.  An absent (or, equivalently, null) field counts
@@ -19,15 +28,21 @@ which only make sense over the totally-ordered scalar tagging scheme.
 
 from __future__ import annotations
 
+import heapq
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.flat import FlatRelation
 from repro.core.orders import Atom, PartialRecord
 from repro.obs import metrics as _metrics
-from repro.stats.histogram import EquiDepthHistogram, order_key
+from repro.stats.histogram import (
+    EquiDepthHistogram,
+    order_key,
+    uniform_scalar_type,
+)
 
 __all__ = ["ColumnStats", "TableStats", "analyze", "analyze_extent"]
 
@@ -157,8 +172,17 @@ def analyze(
 
     Accepts a :class:`~repro.core.flat.FlatRelation`, a
     :class:`~repro.core.relation.GeneralizedRelation` (whose partial
-    records may lack attributes), or any iterable of mappings.
+    records may lack attributes), or any iterable of mappings.  A flat
+    relation's rows are transposed once into columns; anything else is
+    walked member by member.  Each column is then counted once and its
+    distinct values sorted once.  ``buckets`` (at least 1) caps the
+    histogram's buckets and ``mcv_limit`` (at least 0) the number of
+    most-common values kept.
     """
+    if buckets < 1:
+        raise ValueError("analyze needs at least one histogram bucket")
+    if mcv_limit < 0:
+        raise ValueError("analyze needs a non-negative mcv_limit")
     started = time.perf_counter()
     row_count, values_by_attribute = _gather(relation)
     columns = {
@@ -201,17 +225,19 @@ def analyze_extent(database, typ, name: Optional[str] = None) -> TableStats:
 # ---------------------------------------------------------------------------
 
 
-def _gather(relation) -> Tuple[int, Dict[str, List[object]]]:
+def _gather(relation) -> Tuple[int, Dict[str, Sequence[object]]]:
     """One pass over ``relation``: present values per attribute.
 
-    Attributes a row lacks simply contribute nothing to that row's
-    lists; ``row_count`` minus the list length is the absent count.
+    A flat relation is total, so its rows transpose straight into one
+    column per attribute.  Elsewhere, attributes a row lacks simply
+    contribute nothing to that row's lists; ``row_count`` minus the
+    list length is the absent count.
     """
-    values: Dict[str, List[object]] = {}
     if isinstance(relation, FlatRelation):
-        for attribute in relation.schema:
-            values[attribute] = list(relation.column(attribute))
-        return len(relation), values
+        rows = relation.rows
+        columns = zip(*rows) if rows else [()] * len(relation.schema)
+        return len(rows), dict(zip(relation.schema, columns))
+    values: Dict[str, List[object]] = {}
     row_count = 0
     for member in relation:
         row_count += 1
@@ -238,24 +264,30 @@ def _fields_of(member) -> Optional[Iterable[Tuple[str, object]]]:
 
 def _column_stats(
     attribute: str,
-    present: List[object],
+    present: Sequence[object],
     row_count: int,
     buckets: int,
     mcv_limit: int,
 ) -> ColumnStats:
-    scalars = [v for v in present if isinstance(v, _SCALAR_TYPES)]
-    counts = Counter(order_key(v) for v in present)
-    originals = {}
-    for v in present:
-        originals.setdefault(order_key(v), v)
-    # Deterministic MCV order: by descending count, then by key.
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], repr(kv[0])))
-    mcvs = tuple(
-        (originals[key], count / row_count)
-        for key, count in ranked[:mcv_limit]
-        if count > 0
+    if uniform_scalar_type(present) is not None:
+        # One scalar type: the values are their own order keys.
+        counts = Counter(present)
+        ordered = scalars = sorted(counts)
+        value_of = _itself
+    else:
+        counts = Counter(map(order_key, present))
+        ordered = sorted(
+            key for key in counts if isinstance(key[1], _SCALAR_TYPES)
+        )
+        scalars = [key[1] for key in ordered]
+        value_of = itemgetter(1)
+    histogram = (
+        EquiDepthHistogram.from_sorted(
+            scalars, list(map(counts.__getitem__, ordered)), buckets
+        )
+        if scalars
+        else None
     )
-    ordered = sorted(scalars, key=order_key)
     return ColumnStats(
         attribute=attribute,
         row_count=row_count,
@@ -264,8 +296,41 @@ def _column_stats(
         null_fraction=(
             (row_count - len(present)) / row_count if row_count else 0.0
         ),
-        min_value=ordered[0] if ordered else None,
-        max_value=ordered[-1] if ordered else None,
-        mcvs=mcvs,
-        histogram=EquiDepthHistogram(ordered, buckets) if ordered else None,
+        min_value=scalars[0] if scalars else None,
+        max_value=scalars[-1] if scalars else None,
+        mcvs=tuple(
+            (value_of(key), counts[key] / row_count)
+            for key in _most_common(counts, mcv_limit)
+        ),
+        histogram=histogram,
     )
+
+
+def _itself(value):
+    return value
+
+
+def _most_common(counts: Counter, limit: int) -> List[object]:
+    """The first ``limit`` keys of ``counts`` ranked by descending count,
+    then by ``repr`` of the order key.
+
+    Exactly ``sorted(counts, key=lambda k: (-counts[k], repr(k)))
+    [:limit]`` without ranking every distinct value: every key counted
+    more often than the ``limit``-th largest count is in, and the rest
+    of the places go to the keys at that count with the smallest
+    ``repr``.  A raw scalar key's ``repr`` ranks like the ``repr`` of
+    its ``order_key``, ``"('int', " + repr(value) + ")"``: the prefix is
+    shared, and where one value's ``repr`` is a proper prefix of
+    another's (``1`` and ``12``, ``1.5`` and ``1.5e+16``) the longer one
+    goes on with a digit, ``.``, ``e``, ``+`` or ``-``, which all sort
+    after the closing ``)``.
+    """
+    if not counts or limit == 0:
+        return []
+    cut = heapq.nlargest(limit, counts.values())[-1]
+    above = sorted(
+        (key for key, count in counts.items() if count > cut),
+        key=lambda key: (-counts[key], repr(key)),
+    )
+    tied = [key for key, count in counts.items() if count == cut]
+    return above + heapq.nsmallest(limit - len(above), tied, key=repr)

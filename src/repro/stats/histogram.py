@@ -19,14 +19,35 @@ the bucket midpoint otherwise.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import List, Sequence, Tuple
+from itertools import accumulate
+from typing import List, Optional, Sequence, Tuple
 
-__all__ = ["EquiDepthHistogram", "order_key"]
+from repro.core.orders import _ATOM_TYPES
+
+__all__ = ["EquiDepthHistogram", "order_key", "uniform_scalar_type"]
 
 
 def order_key(value) -> Tuple[str, object]:
-    # bool sorts as its own type, not as int (mirrors SortedIndex._key).
+    """The total order every statistic and index sorts by: the value
+    tagged with its type name, so bool sorts as its own type, not as
+    int, and ints never meet strings."""
     return (type(value).__name__, value)
+
+
+def uniform_scalar_type(values: Sequence[object]) -> Optional[type]:
+    """The type of every value in ``values``, when that is exactly
+    ``int``, ``float``, ``str`` or ``bool``; otherwise ``None``.
+
+    Values of one such type are their own order keys: equality, hashing
+    and ``<`` among them agree with :func:`order_key` (NaN, which is
+    unordered, aside), so counting and sorting them needs no tagging.
+    """
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        (kind,) = kinds
+        if kind in _ATOM_TYPES:
+            return kind
+    return None
 
 
 class EquiDepthHistogram:
@@ -41,19 +62,42 @@ class EquiDepthHistogram:
     __slots__ = ("_bounds", "_bound_keys", "_buckets", "_count")
 
     def __init__(self, values: Sequence[object], buckets: int = 16):
+        ordered = sorted(values, key=order_key)
+        self._build(ordered, [1] * len(ordered), buckets)
+
+    @classmethod
+    def from_sorted(
+        cls,
+        ordered: Sequence[object],
+        counts: Sequence[int],
+        buckets: int = 16,
+    ) -> "EquiDepthHistogram":
+        """The histogram of ``ordered[i]`` occurring ``counts[i]`` times,
+        for distinct values already sorted by :func:`order_key`.
+
+        That is the shape a ``Counter`` and one sort of its keys give, so
+        the statistics collector never sorts a column's duplicates.
+        """
+        histogram = cls.__new__(cls)
+        histogram._build(ordered, counts, buckets)
+        return histogram
+
+    def _build(self, ordered, counts, buckets) -> None:
         if buckets < 1:
             raise ValueError("a histogram needs at least one bucket")
-        ordered = sorted(values, key=order_key)
-        self._count = len(ordered)
-        if not ordered:
+        # ends[j]: how many values sort at or before ordered[j].
+        ends = list(accumulate(counts))
+        self._count = ends[-1] if ends else 0
+        if not self._count:
             self._bounds: List[object] = []
             self._bound_keys: List[Tuple[str, object]] = []
             self._buckets = 0
             return
-        buckets = min(buckets, len(ordered))
-        last = len(ordered) - 1
+        buckets = min(buckets, self._count)
+        last = self._count - 1
         self._bounds = [
-            ordered[round(i * last / buckets)] for i in range(buckets + 1)
+            ordered[bisect_right(ends, round(i * last / buckets))]
+            for i in range(buckets + 1)
         ]
         self._bound_keys = [order_key(b) for b in self._bounds]
         self._buckets = buckets

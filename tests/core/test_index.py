@@ -125,6 +125,29 @@ class TestSortedIndex:
         assert len(index.lookup_eq(3.5)) == 1
         assert len(index.lookup_range()) == 4  # sort never raises
 
+    def test_other_type_operands_on_a_one_type_column(self):
+        # Salary holds ints only: bool and float sort before int and str
+        # after it, exactly as the type-tagged order puts them.
+        index = SortedIndex(EMP, "Salary")
+        assert index.lookup_eq(True) == []
+        assert index.lookup_eq(20.0) == []
+        assert len(index.lookup_range(low=False)) == 5
+        assert len(index.lookup_range(low=99.5)) == 5
+        assert index.lookup_range(high=0.5) == []
+        assert len(index.lookup_range(high="a")) == 5
+        assert index.lookup_range(low="a") == []
+        assert index.select("<", "x") == EMP
+
+    def test_lookups_return_fresh_dicts(self):
+        index = SortedIndex(EMP, "Salary")
+        index.lookup_eq(10)[0]["Name"] = "changed"
+        assert index.lookup_eq(10) == [{"Name": "A", "Salary": 10}]
+
+    def test_select_keeps_schema_order(self):
+        selected = SortedIndex(EMP, "Salary").select(">=", 30)
+        assert selected.schema == ("Name", "Salary")
+        assert set(selected.rows) == {("D", 30), ("E", 40)}
+
     @given(st.lists(st.integers(min_value=0, max_value=20), max_size=30),
            st.integers(min_value=0, max_value=20),
            st.integers(min_value=0, max_value=20))

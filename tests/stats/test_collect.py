@@ -67,6 +67,58 @@ class TestFlatRelations:
         assert REGISTRY.counter("stats.analyze.rows").value == rows + 5
 
 
+class TestOptionValidation:
+    def test_negative_mcv_limit_raises(self):
+        # A 5-row, all-distinct column used to yield 4 MCVs (ranked[:-1]).
+        relation = FlatRelation(("K",), [(i,) for i in range(5)])
+        with pytest.raises(ValueError, match="mcv_limit"):
+            analyze(relation, mcv_limit=-1)
+
+    def test_zero_buckets_raises(self):
+        with pytest.raises(ValueError, match="bucket"):
+            analyze(EMPLOYEES, buckets=0)
+
+    def test_bad_options_raise_on_empty_relations_too(self):
+        empty = FlatRelation(("K", "V"))
+        with pytest.raises(ValueError, match="bucket"):
+            analyze(empty, buckets=0)
+        with pytest.raises(ValueError, match="mcv_limit"):
+            analyze(empty, mcv_limit=-1)
+        with pytest.raises(ValueError, match="bucket"):
+            analyze([], buckets=0)
+
+    def test_boundary_options_are_accepted(self):
+        stats = analyze(EMPLOYEES, buckets=1, mcv_limit=0)
+        salary = stats.column("Salary")
+        assert salary.mcvs == ()
+        assert salary.histogram.buckets == 1
+
+
+class TestColumnKeys:
+    def test_one_scalar_type_and_mixed_columns_agree_on_counts(self):
+        # 1, 1.0 and True are one value to Python but three to order_key.
+        relation = FlatRelation(
+            ("K", "V"), [("a", 1), ("b", 1.0), ("c", True), ("d", 1)]
+        )
+        v = analyze(relation, mcv_limit=8).column("V")
+        assert v.distinct_count == 3
+        assert [(type(value), f) for value, f in v.mcvs] == [
+            (int, 0.5), (bool, 0.25), (float, 0.25)
+        ]
+        assert v.min_value is True and v.max_value == 1
+
+    def test_mcv_ties_break_by_repr_of_the_order_key(self):
+        relation = FlatRelation(("K",), [(i,) for i in (2, 9, 10, 11, -1)])
+        k = analyze(relation, mcv_limit=3).column("K")
+        # repr order: "('int', -1)" < "('int', 10)" < "('int', 11)" < ...
+        assert [value for value, __ in k.mcvs] == [-1, 10, 11]
+
+    def test_counts_outrank_the_tie_break(self):
+        rows = [(i, v) for i, v in enumerate([5, 5, 5, 3, 3, 10, 11, 12])]
+        v = analyze(FlatRelation(("I", "V"), rows), mcv_limit=3).column("V")
+        assert [value for value, __ in v.mcvs] == [5, 3, 10]
+
+
 class TestPartialRecords:
     def test_absent_fields_count_as_nulls_not_distinct(self):
         relation = GeneralizedRelation(

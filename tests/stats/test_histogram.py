@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.stats.histogram import EquiDepthHistogram, order_key
+from repro.stats.histogram import (
+    EquiDepthHistogram,
+    order_key,
+    uniform_scalar_type,
+)
 
 
 class TestOrderKey:
@@ -38,6 +42,38 @@ class TestConstruction:
     def test_rejects_zero_buckets(self):
         with pytest.raises(ValueError):
             EquiDepthHistogram([1], buckets=0)
+
+
+class TestFromSorted:
+    def test_counts_match_the_expanded_values(self):
+        distinct = [1, 4, 7, 9]
+        counts = [3, 1, 5, 2]
+        expanded = [v for v, n in zip(distinct, counts) for __ in range(n)]
+        for buckets in (1, 2, 3, 5, 11, 16):
+            direct = EquiDepthHistogram(expanded, buckets=buckets)
+            compact = EquiDepthHistogram.from_sorted(distinct, counts, buckets)
+            assert compact.bounds == direct.bounds
+            assert compact.buckets == direct.buckets
+            assert len(compact) == len(direct) == 11
+
+    def test_empty_and_zero_buckets(self):
+        assert len(EquiDepthHistogram.from_sorted([], [], 4)) == 0
+        with pytest.raises(ValueError):
+            EquiDepthHistogram.from_sorted([1], [1], 0)
+
+
+class TestUniformScalarType:
+    def test_one_scalar_type(self):
+        assert uniform_scalar_type([3, 1, 2]) is int
+        assert uniform_scalar_type(("a",)) is str
+        assert uniform_scalar_type([0.5, -0.0]) is float
+        assert uniform_scalar_type([True, False]) is bool
+
+    def test_mixed_empty_or_non_scalar(self):
+        assert uniform_scalar_type([1, True]) is None
+        assert uniform_scalar_type([1, 1.0]) is None
+        assert uniform_scalar_type([]) is None
+        assert uniform_scalar_type([(1,), (2,)]) is None
 
 
 class TestSelectivity:
