@@ -26,6 +26,14 @@ repeated one-field changes, with quartiles — writes
 ``BENCH_persistence.json``, and exits non-zero when the intrinsic commit
 is not faster than the replicating extern, or writes anything but the
 one changed object (``--quick``: fewer repeats, for CI).
+
+It also prices a one-object commit on the two intrinsic heaps side by
+side: an MVCC ``HeapTransaction`` and a ``PersistentHeap``, each over
+``build_graph(300)`` and ``build_graph(3000)``, changing one field of
+the middle node per commit (median of the repeats, with quartiles).
+Both commit through the same write-stamp diff, so the cost follows what
+changed, not the graph: the run exits non-zero when the transaction's
+3,000-node commit costs more than 4x its 300-node commit.
 """
 
 import os
@@ -43,11 +51,14 @@ except ImportError:
 from repro.persistence.allornothing import ImagePersistence
 from repro.persistence.heap import PObject
 from repro.persistence.intrinsic import PersistentHeap
+from repro.persistence.mvcc import MVCCHeap
 from repro.persistence.replicating import ReplicatingStore
 from repro.types.dynamic import Dynamic
 from repro.types.kinds import TOP
 
 GRAPH_SIZE = 300
+TXN_SIZES = (300, 3000)
+TXN_GATE = 4.0  # the transaction's 3,000-node commit over its 300-node one
 
 
 def build_graph(n=GRAPH_SIZE):
@@ -191,12 +202,43 @@ def measure(tmp, repeats):
     return times, sizes, written
 
 
+def one_object_commits(tmp, size, repeats):
+    """Latencies of a one-field change to the middle node of a
+    ``size``-node graph, committed by a heap transaction and by a
+    ``PersistentHeap``, interleaved; returns ``{"txn": [...], "heap":
+    [...]}``."""
+    mvcc = MVCCHeap(os.path.join(tmp, "mvcc%d.log" % size))
+    txn = mvcc.begin()
+    heap = PersistentHeap(os.path.join(tmp, "heap%d.log" % size))
+    cases = []
+    for name, owner in (("txn", txn), ("heap", heap)):
+        middle = owner.root("db", build_graph(size))
+        owner.commit()
+        for __ in range(size // 2):
+            middle = middle["next"]
+        cases.append((name, middle, owner.commit))
+    times = {name: [] for name, __, __ in cases}
+    for change in range(1, repeats + 1):
+        for name, middle, commit in cases:
+            middle["i"] = -change
+            started = time.perf_counter()
+            stats = commit()
+            times[name].append(time.perf_counter() - started)
+            assert stats.objects_written == 1, (name, size, stats)
+    txn.abort()
+    mvcc.close()
+    heap.close()
+    return times
+
+
 def main():
     quick = quick_requested()
     writer = ResultsWriter("persistence", quick=quick)
     repeats = 9 if quick else 31
     with tempfile.TemporaryDirectory() as tmp:
         times, sizes, written = measure(tmp, repeats)
+        commits = {size: one_object_commits(tmp, size, repeats)
+                   for size in TXN_SIZES}
 
     print("E3 — durability after a one-field change (%d-object graph, "
           "median of %d)" % (GRAPH_SIZE, repeats))
@@ -214,9 +256,38 @@ def main():
     print("\nintrinsic wrote %s changed object(s) per commit; the other"
           % "/".join(str(n) for n in sorted(written)))
     print("models rewrote the whole closure, as the paper's taxonomy predicts.")
+
+    print("\none-object commit on the intrinsic heaps (median of %d)" % repeats)
+    print("%-18s %8s %12s %12s %12s" % (
+        "heap", "objects", "median(s)", "q1(s)", "q3(s)"))
+    commit_medians = {}
+    for name, op in (("txn", "heap_transaction_commit"),
+                     ("heap", "persistent_heap_commit")):
+        for size in TXN_SIZES:
+            q1, median, q3 = statistics.quantiles(commits[size][name], n=4)
+            commit_medians[name, size] = median
+            print("%-18s %8d %12.6f %12.6f %12.6f" % (
+                op.replace("_commit", ""), size, median, q1, q3))
+            writer.record(op, size, median, q1=q1, q3=q3, repeats=repeats)
+    small, large = TXN_SIZES
+    growth = {name: commit_medians[name, large] / commit_medians[name, small]
+              for name in ("txn", "heap")}
+    print("%d- over %d-object commit: transaction %.2fx (gate %.0fx),"
+          " PersistentHeap %.2fx" % (
+              large, small, growth["txn"], TXN_GATE, growth["heap"]))
+    writer.record("heap_transaction_commit_growth", large, 0.0,
+                  ratio=growth["txn"], gate=TXN_GATE)
+    writer.record("persistent_heap_commit_growth", large, 0.0,
+                  ratio=growth["heap"])
     print("results -> %s" % writer.write())
 
     failures = []
+    if growth["txn"] > TXN_GATE:
+        failures.append(
+            "a one-object heap-transaction commit costs %.1fx more at %d"
+            " objects than at %d (gate %.0fx)"
+            % (growth["txn"], large, small, TXN_GATE)
+        )
     if written != {1}:
         failures.append("intrinsic commit wrote %s objects, not 1" % (written,))
     __, replicating, intrinsic = medians

@@ -5,9 +5,9 @@ small: ``analyze`` is a deliberate, amortized scan (one transpose of the
 rows, then one count and one sort of the distinct values per column),
 and consulting statistics at ``optimize`` time must stay in the
 microsecond range because every query pays it.  This benchmark measures
-both on the skewed-orders workload (:mod:`repro.workloads.queries`), and
-reports the payoff — worst-case estimate drift with and without
-statistics on the same plan.
+both on the skewed-orders workload (:mod:`repro.workloads.queries`), as
+the median of repeated runs with its quartiles, and reports the payoff —
+worst-case estimate drift with and without statistics on the same plan.
 
 It also gates what ANALYZE and an index build cost against the work
 their column needs.  On the star catalog's ``emp`` (2,000 rows with
@@ -39,6 +39,7 @@ SIZES = [400, 4000]
 COLUMN_WORK_ROWS = 20_000
 QUICK_COLUMN_WORK_ROWS = 2_000
 COLUMN_WORK_REPEATS = 7
+ROW_SAMPLES = 7  # timed calls per skewed-orders row; the median is kept
 ANALYZE_GATE = 6.0  # analyze over the floor
 INDEX_GATE = 3.0  # create_index over the floor
 
@@ -72,6 +73,19 @@ def test_planning_without_stats(benchmark, size):
 def _max_drift_ratio(plan, catalog):
     __, stats = run_analyze(optimize(plan, catalog), catalog)
     return max(node.drift_ratio for node in stats.walk())
+
+
+def median_time(writer, op, size, fn, **extra):
+    """Time ``ROW_SAMPLES`` calls of ``fn()`` and record the median with
+    its quartiles, so first-call warm-up does not land in the figure."""
+    times = []
+    for __ in range(ROW_SAMPLES):
+        started = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - started)
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    writer.record(op, size, median, q1=q1, q3=q3, samples=ROW_SAMPLES, **extra)
+    return median
 
 
 def column_work(writer, rows, repeats):
@@ -141,8 +155,9 @@ def main():
     )
     for size in sizes:
         relation = skewed_orders(size)
-        __, analyze_t = writer.timeit(
-            "analyze", size, lambda: collect_stats(relation, name="orders")
+        analyze_t = median_time(
+            writer, "analyze", size,
+            lambda: collect_stats(relation, name="orders"),
         )
 
         cold = Catalog({"orders": relation})
@@ -157,12 +172,12 @@ def main():
                 optimize(plan, catalog) for __ in range(plan_repeats)
             ]
 
-        __, with_t = writer.timeit(
-            "optimize_with_stats", size, plan_many(warm),
+        with_t = median_time(
+            writer, "optimize_with_stats", size, plan_many(warm),
             repeats=plan_repeats,
         )
-        __, without_t = writer.timeit(
-            "optimize_without_stats", size, plan_many(cold),
+        without_t = median_time(
+            writer, "optimize_without_stats", size, plan_many(cold),
             repeats=plan_repeats,
         )
 
@@ -180,7 +195,8 @@ def main():
                drift_without)
         )
 
-    print("\n(plan columns time %d optimize() calls)" % plan_repeats)
+    print("\n(medians of %d runs; plan columns time %d optimize() calls)"
+          % (ROW_SAMPLES, plan_repeats))
 
     failures = column_work(
         writer,

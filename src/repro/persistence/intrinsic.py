@@ -42,8 +42,11 @@ through one is visible through the other.
 
 This heap is single-program: one in-memory graph, one commit stream.
 For several programs sharing one store concurrently, use the MVCC layer
-(:mod:`repro.persistence.mvcc`), which extends this module's commit into
-per-epoch version chains with snapshot-isolated transactions.
+(:mod:`repro.persistence.mvcc`).  Its transactions are this module's
+object-graph core (the root tables, identity maps, materializer,
+write-stamp diff and reachability walk) reading entries at a snapshot
+epoch and publishing what the same diff finds into per-epoch version
+chains.
 """
 
 from __future__ import annotations
@@ -53,7 +56,17 @@ import time
 from dataclasses import dataclass
 from itertools import chain
 from operator import is_
-from typing import Dict, Iterator, List, Set, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
@@ -157,6 +170,29 @@ def _unchanged(snapshot: _Snapshot) -> bool:
     return True
 
 
+def _reachable(
+    nodes: Iterable[object],
+    objects: Dict[int, Tuple[int, _Snapshot, dict]],
+    entry: Callable[[int], Optional[dict]],
+) -> Set[int]:
+    """The oids ``nodes`` reach: through the re-encoded entries in
+    ``objects`` where there are any, through ``entry(oid)`` elsewhere."""
+    pending: Set[int] = set()
+    for node in nodes:
+        _node_refs(node, pending)
+    live: Set[int] = set()
+    while pending:
+        oid = pending.pop()
+        live.add(oid)
+        stored = objects[oid][2] if oid in objects else entry(oid)
+        if stored is None:
+            raise StoreCorruptError("dangling object reference %d" % oid)
+        found: Set[int] = set()
+        _node_refs(stored, found)
+        pending |= found - live
+    return live
+
+
 class _HeapEncoder(_Encoder):
     """Encoder interning PObjects at heap-stable oids.
 
@@ -164,15 +200,15 @@ class _HeapEncoder(_Encoder):
     commit must encode whatever became reachable.
     """
 
-    def __init__(self, heap: "PersistentHeap"):
+    def __init__(self, graph: "_ObjectGraph"):
         super().__init__(include_transient=False)
-        self._heap = heap
+        self._graph = graph
         self.queue: List[Tuple[int, PObject]] = []
         self._queued: Set[int] = set()
 
     def _intern(self, obj: PObject) -> int:
-        oid = self._heap._ensure_oid(obj)
-        if oid not in self._heap._stamps:
+        oid = self._graph._ensure_oid(obj)
+        if oid not in self._graph._stamps:
             self.enqueue(oid, obj)
         return oid
 
@@ -184,19 +220,39 @@ class _HeapEncoder(_Encoder):
 
 
 class _HeapDecoder(_Decoder):
-    """Decoder resolving object references through the heap.
+    """The materializer: resolves object references through the graph.
 
-    Built per load and then dropped: a decoder kept on the heap would
-    point back at it, and the heap could then only be freed by a
-    cyclic-GC pass.
+    An oid the graph holds no object for becomes a shell registered in
+    its identity maps, filled from the worklist once decoding reaches
+    it; a filled object is tracked as matching its stored entry.  Built
+    per load and then dropped: a decoder kept on the graph would point
+    back at it, and the graph could then only be freed by a cyclic-GC
+    pass.
     """
 
-    def __init__(self, heap: "PersistentHeap"):
+    def __init__(self, graph: "_ObjectGraph"):
         super().__init__({})
-        self._heap = heap
+        self._graph = graph
 
     def _object(self, oid: int) -> PObject:
-        return self._heap._materialize(oid, self)
+        graph = self._graph
+        obj = graph._obj_by_oid.get(oid)
+        if obj is None:
+            entry = graph._entry(oid)
+            if entry is None:
+                raise StoreCorruptError("dangling object reference %d" % oid)
+            _metrics.REGISTRY.counter("heap.materializations").inc()
+            obj = PObject(entry.get("kind", "Object"))
+            graph._obj_by_oid[oid] = obj
+            graph._oid_by_id[id(obj)] = oid
+            self._unfilled.append((oid, obj, entry))
+        return obj
+
+    def _filled(self, oid: int, obj: PObject) -> None:
+        snapshot: _Snapshot = []
+        for value in obj.persistent_fields().values():
+            _snapshot(value, snapshot)
+        self._graph._track(oid, obj.stamp, snapshot)
 
 
 class Namespace:
@@ -209,7 +265,7 @@ class Namespace:
 
     __slots__ = ("_heap", "_name", "_roots")
 
-    def __init__(self, heap: "PersistentHeap", name: str, roots: Dict[str, object]):
+    def __init__(self, heap: "_ObjectGraph", name: str, roots: Dict[str, object]):
         self._heap = heap
         self._name = name
         self._roots = roots
@@ -258,30 +314,65 @@ class Namespace:
         return sorted(self._roots)
 
 
-class PersistentHeap:
-    """A persistent object heap over a log store.
+class _Divergence:
+    """What a commit found to write.
 
-    Open the same path again and the committed namespaces, roots, and
-    object graph come back — with sharing and cycles intact.
+    ``bound`` holds the root keys bound now; ``roots`` and ``objects``
+    what was re-encoded (key -> (value, containers, node); oid ->
+    (stamp, containers, entry)); ``changed`` and ``rebound`` the oids and
+    root keys whose encoding differs from what is stored; ``dropped``
+    the stored root keys no longer bound; ``sweep`` whether a rewritten
+    or dropped node let go of a reference.
     """
 
-    def __init__(self, store: Union[LogStore, str]):
-        self._store = store if isinstance(store, LogStore) else LogStore(store)
+    __slots__ = ("bound", "roots", "objects", "changed", "rebound",
+                 "dropped", "sweep")
+
+    def __init__(self) -> None:
+        self.bound: Set[str] = set()
+        self.roots: Dict[str, Tuple[object, _Snapshot, object]] = {}
+        self.objects: Dict[int, Tuple[int, _Snapshot, dict]] = {}
+        self.changed: List[int] = []
+        self.rebound: List[str] = []
+        self.dropped: List[str] = []
+        self.sweep = False
+
+    def keep_only(self, live: Set[int]) -> None:
+        """Forget re-encoded objects that nothing reaches any more."""
+        for oid in [oid for oid in self.objects if oid not in live]:
+            del self.objects[oid]
+        self.changed = [oid for oid in self.changed if oid in live]
+
+
+class _ObjectGraph:
+    """The object-graph core of both intrinsic heaps.
+
+    Holds the namespaces (root tables), the oid and identity maps, and
+    what the store holds as of the last commit or load: per stored oid
+    the stamp its entry matches and the containers of the objects
+    holding any, and per root key the bound value and its containers.
+    A heap supplies where entries come from and go: :meth:`_entry` (the
+    stored entry an object diverges from), :meth:`_stored_root`,
+    :meth:`_root_key` and :meth:`_new_oid`.
+    """
+
+    def __init__(self) -> None:
         self._oid_by_id: Dict[int, int] = {}
         self._obj_by_oid: Dict[int, PObject] = {}
-        self._next_oid = 0
-        # What the store holds, as of the last commit (or the load): per
-        # stored oid the stamp its entry matches, the containers of the
-        # objects holding any, and per root key the bound value and its
-        # containers.  Orphans are stored objects no root reached at load.
         self._stamps: Dict[int, int] = {}
         self._snapshots: Dict[int, _Snapshot] = {}
         self._root_state: Dict[str, Tuple[object, _Snapshot]] = {}
-        self._orphans: List[int] = []
         self._namespaces: Dict[str, Dict[str, object]] = {}
-        self._load()
+
+    # Supplied by each heap.
+    _entry: Callable[[int], Optional[dict]]
+    _stored_root: Callable[[str], object]
+    _root_key: Callable[[str, str], str]
+    _new_oid: Callable[[], int]
 
     # -- namespaces -------------------------------------------------------------
+
+    _namespace_type = Namespace
 
     def namespace(self, name: str = "user") -> Namespace:
         """The namespace called ``name`` (created on first use)."""
@@ -290,13 +381,11 @@ class PersistentHeap:
                 "namespace names may not contain ':': %r" % (name,)
             )
         roots = self._namespaces.setdefault(name, {})
-        return Namespace(self, name, roots)
+        return self._namespace_type(self, name, roots)
 
     def namespaces(self) -> List[str]:
         """The namespace names, sorted."""
         return sorted(self._namespaces)
-
-    # -- convenience over the default namespace -----------------------------------
 
     def root(self, name: str, value: object) -> object:
         """Bind a root in the default namespace."""
@@ -306,37 +395,15 @@ class PersistentHeap:
         """Read a root from the default namespace."""
         return self.namespace()[name]
 
-    # -- oid management ------------------------------------------------------------
+    # -- identity and tracking ------------------------------------------------------
 
     def _ensure_oid(self, obj: PObject) -> int:
         oid = self._oid_by_id.get(id(obj))
         if oid is None:
-            oid = self._next_oid
-            self._next_oid += 1
+            oid = self._new_oid()
             self._oid_by_id[id(obj)] = oid
             self._obj_by_oid[oid] = obj
         return oid
-
-    def _materialize(self, oid: int, decoder: _HeapDecoder) -> PObject:
-        obj = self._obj_by_oid.get(oid)
-        if obj is not None:
-            return obj
-        entry = self._store.get(_OBJ_PREFIX + str(oid))
-        if entry is None:
-            raise StoreCorruptError("dangling object reference %d" % oid)
-        _metrics.REGISTRY.counter("heap.materializations").inc()
-        obj = PObject(entry.get("kind", "Object"))
-        # Register before decoding fields so cycles resolve.
-        self._obj_by_oid[oid] = obj
-        self._oid_by_id[id(obj)] = oid
-        for name, node in entry.get("fields", {}).items():
-            obj[name] = decoder.decode(node)
-        obj.mark_transient(*entry.get("transient", []))
-        snapshot: _Snapshot = []
-        for value in obj.persistent_fields().values():
-            _snapshot(value, snapshot)
-        self._track(oid, obj.stamp, snapshot)
-        return obj
 
     def _track(self, oid: int, stamp: int, snapshot: _Snapshot) -> None:
         """Record that the stored entry of ``oid`` matches this state."""
@@ -346,22 +413,190 @@ class PersistentHeap:
         else:
             self._snapshots.pop(oid, None)
 
+    def _adopt_root(self, ns_name: str, root_name: str, node: object) -> object:
+        """Bind a root to its stored node, decoded, as stored."""
+        value = _HeapDecoder(self).decode(node)
+        self._namespaces.setdefault(ns_name, {})[root_name] = value
+        snapshot: _Snapshot = []
+        _snapshot(value, snapshot)
+        self._root_state[self._root_key(ns_name, root_name)] = (value, snapshot)
+        return value
+
+    def _release_unstored(self) -> None:
+        """Forget objects the store does not hold: those a commit
+        collected, and any given an oid by a commit that then failed.
+        Both maps together — a stale oid left under a reused ``id()``
+        would be handed to a different object."""
+        if len(self._obj_by_oid) == len(self._stamps):
+            return
+        for oid in [oid for oid in self._obj_by_oid if oid not in self._stamps]:
+            obj = self._obj_by_oid.pop(oid)
+            self._oid_by_id.pop(id(obj), None)
+
+    # -- commit -------------------------------------------------------------------------
+
+    def _diverged(self) -> _Divergence:
+        """Re-encode what diverged from the store and compare it.
+
+        Objects whose stamp moved or whose lists, dicts or sets changed
+        in place, objects that became reachable, and roots whose
+        binding or containers changed are re-encoded; each counts as
+        changed only if its canonical encoding differs from the stored
+        one.
+        """
+        diff = _Divergence()
+        encoder = _HeapEncoder(self)
+        try:
+            for ns_name, table in self._namespaces.items():
+                for root_name, value in table.items():
+                    key = self._root_key(ns_name, root_name)
+                    diff.bound.add(key)
+                    state = self._root_state.get(key)
+                    if (state is not None and state[0] is value
+                            and _unchanged(state[1])):
+                        continue
+                    snapshot: _Snapshot = []
+                    _snapshot(value, snapshot)
+                    diff.roots[key] = (value, snapshot, encoder.encode(value))
+
+            # The slot, not the property: this runs over every stored object.
+            by_oid = self._obj_by_oid
+            for oid, stamp in self._stamps.items():
+                if by_oid[oid]._stamp != stamp:
+                    encoder.enqueue(oid, by_oid[oid])
+            for oid, snapshot in self._snapshots.items():
+                if not _unchanged(snapshot):
+                    encoder.enqueue(oid, by_oid[oid])
+
+            # Encoding an object may queue more: the newly reachable.
+            for oid, obj in encoder.queue:
+                stamp = obj.stamp
+                fields = obj.persistent_fields()
+                snapshot = []
+                for value in fields.values():
+                    _snapshot(value, snapshot)
+                entry = {
+                    "kind": obj.kind,
+                    "fields": {
+                        name: encoder.encode(value)
+                        for name, value in sorted(fields.items())
+                    },
+                }
+                diff.objects[oid] = (stamp, snapshot, entry)
+        except RecursionError:
+            raise PersistenceError("value graph too deep to persist") from None
+
+        # A reference an object or root no longer holds may have been
+        # the last one.
+        for oid, (__, __, entry) in diff.objects.items():
+            old = self._entry(oid)
+            if old is not None:
+                if _canonical(old) == _canonical(entry):
+                    continue
+                diff.sweep = diff.sweep or _drops_reference(old, entry)
+            diff.changed.append(oid)
+        for key, (__, __, node) in diff.roots.items():
+            old = self._stored_root(key)
+            if old is not None:
+                if _canonical(old) == _canonical(node):
+                    continue
+                diff.sweep = diff.sweep or _drops_reference(old, node)
+            diff.rebound.append(key)
+        diff.dropped = [key for key in self._root_state if key not in diff.bound]
+        for key in diff.dropped:
+            diff.sweep = diff.sweep or _drops_reference(
+                self._stored_root(key), None
+            )
+        return diff
+
+    def _bound_nodes(self, diff: _Divergence) -> List[object]:
+        """The node of every bound root: re-encoded, else as stored."""
+        return [
+            diff.roots[key][2] if key in diff.roots else self._stored_root(key)
+            for key in diff.bound
+        ]
+
+    def _unreached(
+        self,
+        diff: _Divergence,
+        live: Set[int],
+        entry: Callable[[int], Optional[dict]],
+    ) -> List[int]:
+        """The stored objects outside ``live``: tracked ones, and those
+        a rebound or dropped root reached without their being tracked
+        (an unread root's subgraph), walked through ``entry``."""
+        tracked = self._stamps
+        dead = [oid for oid in tracked if oid not in live]
+        pending: Set[int] = set()
+        for key in chain(diff.rebound, diff.dropped):
+            _node_refs(self._stored_root(key), pending)
+        seen: Set[int] = set()
+        while pending:
+            oid = pending.pop()
+            if oid in live or oid in tracked or oid in seen:
+                continue
+            seen.add(oid)
+            dead.append(oid)
+            stored = entry(oid)
+            if stored is None:
+                raise StoreCorruptError("dangling object reference %d" % oid)
+            _node_refs(stored, pending)
+        return dead
+
+    def _settle(self, diff: _Divergence, collected: Iterable[int]) -> None:
+        """Record that the store now holds what ``diff`` wrote."""
+        for oid, (stamp, snapshot, __) in diff.objects.items():
+            self._track(oid, stamp, snapshot)
+        for oid in collected:
+            self._stamps.pop(oid, None)
+            self._snapshots.pop(oid, None)
+        for key in diff.dropped:
+            del self._root_state[key]
+        for key, (value, snapshot, __) in diff.roots.items():
+            self._root_state[key] = (value, snapshot)
+        self._release_unstored()
+
+
+class PersistentHeap(_ObjectGraph):
+    """A persistent object heap over a log store.
+
+    Open the same path again and the committed namespaces, roots, and
+    object graph come back — with sharing and cycles intact.
+    """
+
+    def __init__(self, store: Union[LogStore, str]):
+        super().__init__()
+        self._store = store if isinstance(store, LogStore) else LogStore(store)
+        self._next_oid = 0
+        # Stored objects no root reached at load.
+        self._orphans: List[int] = []
+        self._load()
+
+    def _entry(self, oid: int) -> Optional[dict]:
+        return self._store.get(_OBJ_PREFIX + str(oid))
+
+    def _stored_root(self, key: str) -> object:
+        return self._store.get(key)
+
+    def _root_key(self, ns_name: str, root_name: str) -> str:
+        return "%s%s:%s" % (_ROOT_PREFIX, ns_name, root_name)
+
+    def _new_oid(self) -> int:
+        oid = self._next_oid
+        self._next_oid += 1
+        return oid
+
     # -- load / commit / abort ---------------------------------------------------------
 
     def _load(self) -> None:
         meta = self._store.get(_META_NEXT_OID)
         stored: List[int] = []
-        decoder = _HeapDecoder(self)
         for key in list(self._store.keys()):
             if key.startswith(_OBJ_PREFIX):
                 stored.append(int(key[len(_OBJ_PREFIX):]))
             elif key.startswith(_ROOT_PREFIX):
                 __, ns_name, root_name = key.split(":", 2)
-                value = decoder.decode(self._store.get(key))
-                self._namespaces.setdefault(ns_name, {})[root_name] = value
-                snapshot: _Snapshot = []
-                _snapshot(value, snapshot)
-                self._root_state[key] = (value, snapshot)
+                self._adopt_root(ns_name, root_name, self._store.get(key))
         # Decoding the roots materialized everything they reach; a stored
         # object left over is garbage the next commit collects.
         self._orphans = [oid for oid in stored if oid not in self._stamps]
@@ -419,155 +654,37 @@ class PersistentHeap:
 
     def _commit_inner(self) -> CommitStats:
         store = self._store
-        encoder = _HeapEncoder(self)
-        bound: Set[str] = set()
-        # key -> (value, containers, node) for roots to re-encode.
-        roots: Dict[str, Tuple[object, _Snapshot, object]] = {}
-        # oid -> (stamp, containers, entry) for objects to re-encode.
-        objects: Dict[int, Tuple[int, _Snapshot, dict]] = {}
-        try:
-            for ns_name, table in self._namespaces.items():
-                for root_name, value in table.items():
-                    key = "%s%s:%s" % (_ROOT_PREFIX, ns_name, root_name)
-                    bound.add(key)
-                    state = self._root_state.get(key)
-                    if (state is not None and state[0] is value
-                            and _unchanged(state[1])):
-                        continue
-                    snapshot: _Snapshot = []
-                    _snapshot(value, snapshot)
-                    roots[key] = (value, snapshot, encoder.encode(value))
-
-            # The slot, not the property: this runs over every stored object.
-            by_oid = self._obj_by_oid
-            for oid, stamp in self._stamps.items():
-                if by_oid[oid]._stamp != stamp:
-                    encoder.enqueue(oid, by_oid[oid])
-            for oid, snapshot in self._snapshots.items():
-                if not _unchanged(snapshot):
-                    encoder.enqueue(oid, by_oid[oid])
-
-            # Encoding an object may queue more: the newly reachable.
-            for oid, obj in encoder.queue:
-                stamp = obj.stamp
-                fields = obj.persistent_fields()
-                snapshot = []
-                for value in fields.values():
-                    _snapshot(value, snapshot)
-                entry = {
-                    "kind": obj.kind,
-                    "fields": {
-                        name: encoder.encode(value)
-                        for name, value in sorted(fields.items())
-                    },
-                }
-                objects[oid] = (stamp, snapshot, entry)
-        except RecursionError:
-            raise PersistenceError("value graph too deep to persist") from None
-
-        # Compare what was re-encoded with what is stored.  A reference
-        # an object or root no longer holds may have been the last one.
-        sweep = False
-        changed: Dict[str, object] = {}
-        for oid, (__, __, entry) in objects.items():
-            key = _OBJ_PREFIX + str(oid)
-            old = store.get(key)
-            if old is not None:
-                if _canonical(old) == _canonical(entry):
-                    continue
-                sweep = sweep or _drops_reference(old, entry)
-            changed[key] = entry
-        dropped = [key for key in self._root_state if key not in bound]
-        for key, (__, __, node) in roots.items():
-            old = store.get(key)
-            if old is not None:
-                if _canonical(old) == _canonical(node):
-                    continue
-                sweep = sweep or _drops_reference(old, node)
-            changed[key] = node
-        for key in dropped:
-            sweep = sweep or _drops_reference(store.get(key), None)
-
-        collected: List[int] = list(self._orphans)
-        if sweep:
-            live = self._reachable(bound, roots, objects)
-            collected.extend(oid for oid in self._stamps if oid not in live)
-            for oid in list(objects):
-                if oid not in live:
-                    del objects[oid]
-                    changed.pop(_OBJ_PREFIX + str(oid), None)
+        diff = self._diverged()
+        collected = self._orphans
+        if diff.sweep:
+            live = _reachable(self._bound_nodes(diff), diff.objects, self._entry)
+            collected = collected + self._unreached(diff, live, self._entry)
+            diff.keep_only(live)
 
         # The whole commit is one atomic batch: a crash mid-commit
         # replays as if the commit never happened (PS-algol's promise).
         # A batch with nothing in it appends nothing and does not sync.
         with store.batch():
-            for key, node in changed.items():
-                store.put(key, node)
+            for oid in diff.changed:
+                store.put(_OBJ_PREFIX + str(oid), diff.objects[oid][2])
+            for key in diff.rebound:
+                store.put(key, diff.roots[key][2])
             for oid in collected:
                 store.delete(_OBJ_PREFIX + str(oid))
-            for key in dropped:
+            for key in diff.dropped:
                 store.delete(key)
             meta = store.get(_META_NEXT_OID)
             if (int(meta) if meta is not None else 0) != self._next_oid:
                 store.put(_META_NEXT_OID, self._next_oid)
 
-        written = sum(1 for key in changed if key.startswith(_OBJ_PREFIX))
-        for oid, (stamp, snapshot, __) in objects.items():
-            self._track(oid, stamp, snapshot)
-        for oid in collected:
-            self._stamps.pop(oid, None)
-            self._snapshots.pop(oid, None)
+        self._settle(diff, collected)
         self._orphans = []
-        for key in dropped:
-            del self._root_state[key]
-        for key, (value, snapshot, __) in roots.items():
-            self._root_state[key] = (value, snapshot)
-        self._release_unstored()
         return CommitStats(
-            roots_written=len(bound),
-            objects_written=written,
-            objects_unchanged=len(self._stamps) - written,
+            roots_written=len(diff.bound),
+            objects_written=len(diff.changed),
+            objects_unchanged=len(self._stamps) - len(diff.changed),
             objects_collected=len(collected),
         )
-
-    def _reachable(
-        self,
-        bound: Set[str],
-        roots: Dict[str, Tuple[object, _Snapshot, object]],
-        objects: Dict[int, Tuple[int, _Snapshot, dict]],
-    ) -> Set[int]:
-        """The oids the bound roots reach after this commit: through the
-        re-encoded nodes where there are any, the stored ones elsewhere."""
-        pending: Set[int] = set()
-        for key in bound:
-            _node_refs(
-                roots[key][2] if key in roots else self._store.get(key), pending
-            )
-        live: Set[int] = set()
-        while pending:
-            oid = pending.pop()
-            live.add(oid)
-            if oid in objects:
-                entry = objects[oid][2]
-            else:
-                entry = self._store.get(_OBJ_PREFIX + str(oid))
-                if entry is None:
-                    raise StoreCorruptError("dangling object reference %d" % oid)
-            found: Set[int] = set()
-            _node_refs(entry, found)
-            pending |= found - live
-        return live
-
-    def _release_unstored(self) -> None:
-        """Forget objects the store does not hold: those a commit
-        collected, and any given an oid by a commit that then failed.
-        Both maps together — a stale oid left under a reused ``id()``
-        would be handed to a different object."""
-        if len(self._obj_by_oid) == len(self._stamps):
-            return
-        for oid in [oid for oid in self._obj_by_oid if oid not in self._stamps]:
-            obj = self._obj_by_oid.pop(oid)
-            self._oid_by_id.pop(id(obj), None)
 
     def abort(self) -> None:
         """Discard uncommitted divergence; reload the committed state.

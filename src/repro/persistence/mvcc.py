@@ -13,11 +13,13 @@ programs can run against one store at once:
   reads the newest version of each object at or below that epoch, so a
   reader never observes a concurrent writer's uncommitted — or even
   committed-later — state;
-* a writer prepares its commit privately (its own identity maps, its own
-  encoder) and publishes with **first-committer-wins** conflict
-  detection: if any epoch committed after the snapshot wrote an object
-  in this transaction's reachability sweep, rebound a root name this
-  transaction rebound, or kept alive an object this transaction would
+* a writer prepares its commit privately — a heap transaction is the
+  intrinsic heap's object-graph core over its snapshot, so its commit
+  re-encodes only what its write stamps say changed — and publishes
+  with **first-committer-wins** conflict detection: if any epoch
+  committed after the snapshot wrote or collected an object in this
+  transaction's sweep, rebound a root name this transaction rebound, or
+  published a reference to an object this transaction would
   garbage-collect, the commit aborts with a retryable
   :class:`~repro.errors.TransactionConflictError`; otherwise the
   changed root bindings are merged onto the newest committed root
@@ -41,7 +43,6 @@ See TRANSACTIONS.md for the isolation model and worked examples.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from bisect import bisect_left, bisect_right
@@ -50,16 +51,14 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.errors import (
-    PersistenceError,
-    StoreCorruptError,
-    TransactionConflictError,
-    TransactionError,
-    UnknownHandleError,
+from repro.errors import TransactionConflictError, TransactionError
+from repro.persistence.intrinsic import (
+    CommitStats,
+    Namespace,
+    _ObjectGraph,
+    _reachable,
 )
-from repro.persistence.heap import PObject
-from repro.persistence.intrinsic import CommitStats, Namespace
-from repro.persistence.serialize import _Decoder, _Encoder, _node_refs
+from repro.persistence.serialize import _node_refs
 from repro.persistence.store import LogStore
 
 _VER_PREFIX = "ver:"
@@ -106,33 +105,8 @@ class _TxnNamespace(Namespace):
     def __getitem__(self, name: str) -> object:
         value = super().__getitem__(name)
         if isinstance(value, _LazyRoot):
-            value = self._heap._resolve_root(self._name, name, value)
+            value = self._heap._adopt_root(self._name, name, value.node)
         return value
-
-
-class _TxnEncoder(_Encoder):
-    """Encoder interning PObjects at the transaction's private oids."""
-
-    def __init__(self, txn: "HeapTransaction"):
-        super().__init__(include_transient=False)
-        self._txn = txn
-        self.touched: Dict[int, PObject] = {}
-
-    def _intern(self, obj: PObject) -> int:
-        oid = self._txn._ensure_oid(obj)
-        self.touched[oid] = obj
-        return oid
-
-
-class _TxnDecoder(_Decoder):
-    """Decoder resolving object references at the transaction's snapshot."""
-
-    def __init__(self, txn: "HeapTransaction"):
-        super().__init__({})
-        self._txn = txn
-
-    def _object(self, oid: int) -> PObject:
-        return self._txn._materialize(oid, self)
 
 
 class MVCCHeap:
@@ -157,9 +131,8 @@ class MVCCHeap:
         self._commit_writes: Dict[int, FrozenSet[int]] = {}
         # epoch -> root keys ("ns:name") that commit rebound or deleted
         self._root_writes: Dict[int, FrozenSet[str]] = {}
-        # epoch -> oids that commit kept alive without writing them (its
-        # published roots reference them); a later collector with an
-        # older snapshot must not tombstone these out from under it
+        # epoch -> oids the nodes that commit published reference; a
+        # later collector with an older snapshot must not tombstone these
         self._commit_kept: Dict[int, FrozenSet[int]] = {}
         self._epochs: List[int] = []  # committed epochs, sorted
         self._epoch = 0
@@ -195,6 +168,13 @@ class MVCCHeap:
         self._epochs.sort()
         for chain in self._versions.values():
             chain.sort()
+        # Live objects no root reaches (a log whose last commits raced)
+        # are garbage the next commit collects.
+        reached = _reachable(
+            self._roots_at(self._epoch).values(), {},
+            lambda oid: self._entry_at(oid, self._epoch) or {},
+        )
+        self._orphans = self._live_at(self._epoch) - reached
 
     # -- shared-state helpers (called by transactions) ----------------------
 
@@ -204,10 +184,9 @@ class MVCCHeap:
             self._next_oid += 1
             return oid
 
-    def _version_at(
-        self, oid: int, snapshot: int
-    ) -> Tuple[Optional[dict], Optional[int]]:
-        """The newest version of ``oid`` at or below ``snapshot``.
+    def _entry_at(self, oid: int, snapshot: int) -> Optional[dict]:
+        """The newest version of ``oid`` at or below ``snapshot``, or
+        ``None`` when there is none or it is a tombstone.
 
         History at or below a pinned snapshot is immutable (vacuum never
         prunes past an active snapshot), so no lock is needed: a
@@ -215,13 +194,11 @@ class MVCCHeap:
         epochs above every active snapshot.
         """
         chain = self._versions.get(oid)
-        if not chain:
-            return None, None
-        index = bisect_right(chain, snapshot) - 1
+        index = bisect_right(chain, snapshot) - 1 if chain else -1
         if index < 0:
-            return None, None
-        epoch = chain[index]
-        return self._store.get(_ver_key(oid, epoch)), epoch
+            return None
+        entry = self._store.get(_ver_key(oid, chain[index]))
+        return None if entry is None or entry.get("dead") else entry
 
     def _roots_at(self, snapshot: int) -> Dict[str, object]:
         """The root-table nodes of the newest commit at/below ``snapshot``."""
@@ -233,17 +210,9 @@ class MVCCHeap:
 
     def _live_at(self, snapshot: int) -> Set[int]:
         """Oids whose newest version at/below ``snapshot`` is not a tombstone."""
-        live: Set[int] = set()
         with self._lock:  # a concurrent commit may be adding chains
-            chains = list(self._versions.items())
-        for oid, chain in chains:
-            index = bisect_right(chain, snapshot) - 1
-            if index < 0:
-                continue
-            entry = self._store.get(_ver_key(oid, chain[index]))
-            if entry is not None and not entry.get("dead"):
-                live.add(oid)
-        return live
+            oids = list(self._versions)
+        return {oid for oid in oids if self._entry_at(oid, snapshot) is not None}
 
     # -- transactions -------------------------------------------------------
 
@@ -347,12 +316,16 @@ class MVCCHeap:
         self.close()
 
 
-class HeapTransaction:
+class HeapTransaction(_ObjectGraph):
     """One snapshot-isolated view of an :class:`MVCCHeap`.
 
-    Mirrors the :class:`~repro.persistence.intrinsic.PersistentHeap`
-    surface — :meth:`namespace`, :meth:`root`, :meth:`get_root`,
-    :meth:`commit`, :meth:`abort` — but everything it materializes is
+    The intrinsic heap's object-graph core over the version chains: the
+    same :meth:`namespace`, :meth:`root`, :meth:`get_root` surface, the
+    same materializer and the same write-stamp diff as
+    :class:`~repro.persistence.intrinsic.PersistentHeap`.  Of its own it
+    reads entries at its snapshot epoch, takes oids from the heap's
+    shared allocator, keeps unread roots lazy, and publishes through
+    first-committer-wins validation.  Everything it materializes is
     private to the transaction: two transactions reading the same oid
     each hold their own PObject, so a writer's in-memory mutations are
     invisible to everyone until commit publishes them.
@@ -362,71 +335,39 @@ class HeapTransaction:
     :meth:`abort` ends the transaction and abandons the graph.
     """
 
+    _namespace_type = _TxnNamespace
+
     def __init__(self, heap: MVCCHeap, tid: int, snapshot: int):
+        super().__init__()
         self._heap = heap
         self.tid = tid
         self.snapshot = snapshot
         self._active_flag = True
-        self._oid_by_id: Dict[int, int] = {}
-        self._obj_by_oid: Dict[int, PObject] = {}
-        # oid -> canonical JSON of the version this snapshot read, so an
-        # unchanged object skips rewrite (and never counts as a write in
-        # conflict detection).
-        self._base_canonical: Dict[int, str] = {}
-        self._root_canonical: Dict[str, str] = {}
-        self._namespaces: Dict[str, Dict[str, object]] = {}
-        self._load_roots()
+        # root key ("ns:name") -> its node at the snapshot
+        self._root_nodes: Dict[str, object] = {}
+        for key, node in heap._roots_at(snapshot).items():
+            self._bind_lazily(key, node)
 
-    # -- loading the snapshot ----------------------------------------------
+    def _entry(self, oid: int) -> Optional[dict]:
+        return self._heap._entry_at(oid, self.snapshot)
 
-    def _load_roots(self) -> None:
-        for key, node in self._heap._roots_at(self.snapshot).items():
-            ns_name, root_name = key.split(":", 1)
-            roots = self._namespaces.setdefault(ns_name, {})
-            roots[root_name] = _LazyRoot(node)
-            self._root_canonical[key] = json.dumps(node, sort_keys=True)
+    def _stored_root(self, key: str) -> object:
+        return self._root_nodes.get(key)
 
-    def _resolve_root(self, ns_name: str, root_name: str, lazy: _LazyRoot):
-        # A decoder per resolution, never kept: one held on the
-        # transaction would point back at it and make a cycle.
-        value = _TxnDecoder(self).decode(lazy.node)
-        roots = self._namespaces[ns_name]
-        # Replace only if still the same lazy binding (the program may
-        # have rebound the root between lookup and resolution).
-        if roots.get(root_name) is lazy:
-            roots[root_name] = value
-        return value
+    def _root_key(self, ns_name: str, root_name: str) -> str:
+        return "%s:%s" % (ns_name, root_name)
 
-    def _materialize(self, oid: int, decoder: _TxnDecoder) -> PObject:
-        obj = self._obj_by_oid.get(oid)
-        if obj is not None:
-            return obj
-        entry, _ = self._heap._version_at(oid, self.snapshot)
-        if entry is None or entry.get("dead"):
-            raise StoreCorruptError(
-                "dangling object reference %d at epoch %d"
-                % (oid, self.snapshot)
-            )
-        _metrics.REGISTRY.counter("heap.materializations").inc()
-        obj = PObject(entry.get("kind", "Object"))
-        # Register before decoding fields so cycles resolve.
-        self._obj_by_oid[oid] = obj
-        self._oid_by_id[id(obj)] = oid
-        self._base_canonical[oid] = json.dumps(entry, sort_keys=True)
-        for name, node in entry.get("fields", {}).items():
-            obj[name] = decoder.decode(node)
-        obj.mark_transient(*entry.get("transient", []))
-        return obj
+    def _new_oid(self) -> int:
+        return self._heap._allocate_oid()
 
-    def _ensure_oid(self, obj: PObject) -> int:
-        oid = self._oid_by_id.get(id(obj))
-        if oid is None:
-            oid = self._heap._allocate_oid()
-            self._oid_by_id[id(obj)] = oid
-            self._obj_by_oid[oid] = obj
-        return oid
+    def _bind_lazily(self, key: str, node: object) -> None:
+        ns_name, root_name = key.split(":", 1)
+        lazy = _LazyRoot(node)
+        self._namespaces.setdefault(ns_name, {})[root_name] = lazy
+        self._root_state[key] = (lazy, [])
+        self._root_nodes[key] = node
 
-    # -- namespace surface (mirrors PersistentHeap) -------------------------
+    # -- namespace surface --------------------------------------------------
 
     @property
     def active(self) -> bool:
@@ -442,46 +383,34 @@ class HeapTransaction:
     def namespace(self, name: str = "user") -> Namespace:
         """The namespace called ``name`` (created on first use)."""
         self._check_active()
-        if ":" in name:
-            raise PersistenceError(
-                "namespace names may not contain ':': %r" % (name,)
-            )
-        roots = self._namespaces.setdefault(name, {})
-        return _TxnNamespace(self, name, roots)
-
-    def namespaces(self) -> List[str]:
-        """The namespace names, sorted."""
-        return sorted(self._namespaces)
-
-    def root(self, name: str, value: object) -> object:
-        """Bind a root in the default namespace."""
-        return self.namespace().bind(name, value)
-
-    def get_root(self, name: str) -> object:
-        """Read a root from the default namespace."""
-        return self.namespace()[name]
+        return super().namespace(name)
 
     # -- commit / abort -----------------------------------------------------
 
     def commit(self) -> CommitStats:
         """Publish this transaction's state as a new epoch.
 
-        Encodes every root and the reachable closure privately, then —
-        under the heap lock — runs first-committer-wins conflict
-        detection: the transaction aborts with a retryable
-        :class:`~repro.errors.TransactionConflictError` if any epoch
-        committed after this snapshot (a) wrote an object in this
-        transaction's sweep (everything it read, wrote, or collected),
-        (b) rebound or deleted a root name this transaction rebound or
-        deleted, or (c) kept alive an object this transaction is about
-        to garbage-collect.  Otherwise the changed root bindings are
-        merged onto the newest committed root table (concurrent commits
-        on disjoint roots all land) and the new versions, tombstones,
-        and commit record go down in one atomic store batch (a crash
-        mid-commit replays as if the commit never happened); the
-        transaction continues, re-pinned to the epoch it just created.
-        A commit that changed nothing publishes nothing and keeps its
-        snapshot.
+        Diffs the transaction's graph against its snapshot the way
+        :meth:`PersistentHeap.commit
+        <repro.persistence.intrinsic.PersistentHeap.commit>` diffs
+        against its store, then — under the heap lock — runs
+        first-committer-wins conflict detection: the transaction aborts
+        with a retryable :class:`~repro.errors.TransactionConflictError`
+        if any epoch committed after this snapshot (a) wrote or
+        collected an object in this transaction's sweep (everything it
+        read, wrote, or would collect), (b) rebound or deleted a root
+        name this transaction rebound or deleted, or (c) published a
+        reference to an object this transaction would collect.
+        Otherwise the changed root bindings are merged onto the newest
+        committed root table (concurrent commits on disjoint roots all
+        land); when this commit dropped a reference, the objects the
+        merged state no longer reaches are collected; and the new
+        versions, tombstones, and commit record go down in one atomic
+        store batch (a crash mid-commit replays as if the commit never
+        happened).  The transaction continues, re-pinned to the epoch
+        it just created; roots other commits rebound or deleted since
+        its snapshot turn lazy (or go) at the new epoch.  A commit that
+        changed nothing publishes nothing and keeps its snapshot.
         """
         self._check_active()
         started = time.perf_counter()
@@ -494,87 +423,8 @@ class HeapTransaction:
 
     def _commit_inner(self, span) -> CommitStats:
         heap = self._heap
-        encoder = _TxnEncoder(self)
-        root_nodes: Dict[str, object] = {}
-        lazy_seeds: Set[int] = set()
-        for ns_name, roots in self._namespaces.items():
-            for root_name, value in roots.items():
-                if isinstance(value, _LazyRoot):
-                    # Never read: re-commit the stored node verbatim and
-                    # keep its subgraph out of the sweep.
-                    root_nodes["%s:%s" % (ns_name, root_name)] = value.node
-                    _node_refs(value.node, lazy_seeds)
-                    continue
-                try:
-                    node = encoder.encode(value)
-                except RecursionError:
-                    raise PersistenceError(
-                        "value graph too deep to persist"
-                    ) from None
-                root_nodes["%s:%s" % (ns_name, root_name)] = node
-
-        # Drain the worklist: encoding an object's fields may touch more.
-        entries: Dict[int, dict] = {}
-        while True:
-            pending = [oid for oid in encoder.touched if oid not in entries]
-            if not pending:
-                break
-            for oid in pending:
-                obj = encoder.touched[oid]
-                entries[oid] = {
-                    "kind": obj.kind,
-                    "fields": {
-                        name: encoder.encode(value)
-                        for name, value in sorted(
-                            obj.persistent_fields().items()
-                        )
-                    },
-                }
-
-        changed: Dict[int, str] = {}
-        for oid, entry in entries.items():
-            canonical = json.dumps(entry, sort_keys=True)
-            if self._base_canonical.get(oid) != canonical:
-                changed[oid] = canonical
-
-        # Objects kept alive only through unread lazy roots stay as their
-        # stored versions: walk ref edges over the store at our snapshot,
-        # without materializing anything.
-        retained: Set[int] = set()
-        queue = list(lazy_seeds)
-        while queue:
-            oid = queue.pop()
-            if oid in retained or oid in entries:
-                continue
-            retained.add(oid)
-            entry, _ = heap._version_at(oid, self.snapshot)
-            if entry is None or entry.get("dead"):
-                continue
-            refs: Set[int] = set()
-            for node in entry.get("fields", {}).values():
-                _node_refs(node, refs)
-            queue.extend(refs)
-
-        collected = heap._live_at(self.snapshot) - set(entries) - retained
-
-        # Root changes are per-binding, not whole-table: commit merges
-        # them onto the *latest* committed root table, so concurrent
-        # transactions that add or rebind disjoint roots both land.  A
-        # binding whose re-encoded node matches what this transaction
-        # started from (untouched lazy roots included) is not a write.
-        current_root_canonical = {
-            key: json.dumps(node, sort_keys=True)
-            for key, node in root_nodes.items()
-        }
-        root_writes = {
-            key
-            for key, canonical in current_root_canonical.items()
-            if self._root_canonical.get(key) != canonical
-        }
-        root_deletes = set(self._root_canonical) - set(root_nodes)
-        root_changes = root_writes | root_deletes
-
-        if not changed and not collected and not root_changes:
+        diff = self._diverged()
+        if not (diff.changed or diff.rebound or diff.dropped):
             # Read-only (or no-op) commit: nothing to publish, nothing
             # to conflict with; the snapshot stays pinned.
             span.annotate(epoch=self.snapshot, written=0, read_only=True)
@@ -584,46 +434,42 @@ class HeapTransaction:
                 written=0, read_only=True, layer="heap",
             )
             return CommitStats(
-                roots_written=len(root_nodes),
+                roots_written=len(diff.bound),
                 objects_written=0,
-                objects_unchanged=len(entries),
+                objects_unchanged=len(self._stamps),
                 objects_collected=0,
             )
-
-        # The sweep: everything this transaction read, wrote, or is
-        # about to collect.  Any overlap with a commit that landed after
-        # our snapshot means our work was based on stale state.
-        writes = set(changed) | collected
-        sweep = set(self._base_canonical) | set(entries) | collected
-        # What this commit keeps alive without rewriting: its published
-        # roots still reference these oids, so a concurrent collector
-        # must conflict rather than tombstone them.
-        kept = (set(entries) - set(changed)) | retained
+        root_changes = set(diff.rebound) | set(diff.dropped)
 
         with heap._lock:
-            since = bisect_right(heap._epochs, self.snapshot)
-            for epoch in heap._epochs[since:]:
-                overlap = heap._commit_writes.get(epoch, frozenset()) & sweep
+            later = heap._epochs[bisect_right(heap._epochs, self.snapshot):]
+            # What this commit would collect at its snapshot: GC
+            # decisions are part of the sweep, and a later commit that
+            # published a reference to one of these wins.
+            doomed: Set[int] = set()
+            if diff.sweep and later:
+                live = _reachable(
+                    self._bound_nodes(diff), diff.objects, self._entry
+                )
+                doomed = set(self._unreached(diff, live, self._entry))
+            # The sweep: everything this transaction read, wrote, or
+            # would collect.  Any overlap with a commit that landed after
+            # our snapshot means our work was based on stale state.
+            sweep = self._stamps.keys() | set(diff.changed) | doomed
+            for epoch in later:
+                overlap = heap._commit_writes[epoch] & sweep
                 # Two transactions rebinding (or deleting) the same root
                 # name conflict even when their object sweeps are
                 # disjoint (fresh roots allocate fresh oids).
-                root_overlap = (
-                    heap._root_writes.get(epoch, frozenset()) & root_changes
-                )
-                # Our GC decision was made at our snapshot; if a later
-                # commit still references an oid we are about to
-                # tombstone, collecting it would dangle that commit's
-                # published roots.
-                kept_overlap = collected & heap._commit_kept.get(
-                    epoch, frozenset()
-                )
+                root_overlap = heap._root_writes[epoch] & root_changes
+                kept_overlap = heap._commit_kept[epoch] & doomed
                 if overlap or root_overlap or kept_overlap:
                     self._end()
                     _metrics.REGISTRY.counter("txn.conflict").inc()
                     _journal(
                         "WARN", "conflict", tid=self.tid,
                         snapshot=self.snapshot, winner_epoch=epoch,
-                        overlap=len(overlap) + len(kept_overlap),
+                        overlap=len(overlap | kept_overlap),
                         roots=sorted(root_overlap), layer="heap",
                     )
                     raise TransactionConflictError(
@@ -642,22 +488,40 @@ class HeapTransaction:
             # Merge, don't replace: start from the newest committed root
             # table (which may carry roots committed after our snapshot)
             # and overlay only the bindings this transaction changed.
-            merged_roots = heap._roots_at(heap._epoch)
-            for key in root_deletes:
-                merged_roots.pop(key, None)
-            for key in root_writes:
-                merged_roots[key] = root_nodes[key]
+            merged = heap._roots_at(heap._epoch)
+            for key in diff.dropped:
+                merged.pop(key, None)
+            for key in diff.rebound:
+                merged[key] = diff.roots[key][2]
+            collected = set(heap._orphans)
+            if diff.sweep:
+                # Collect against the merged state, so an object whose
+                # last references two overlapping commits dropped goes too.
+                def newest(oid: int) -> Optional[dict]:
+                    return heap._entry_at(oid, heap._epoch)
+
+                live = _reachable(merged.values(), diff.objects, newest)
+                collected.update(self._unreached(diff, live, newest))
+                diff.keep_only(live)
+            writes = set(diff.changed) | collected
+            # What this commit publishes references to: a later collector
+            # with an older snapshot must not tombstone these.
+            kept: Set[int] = set()
+            for oid in diff.changed:
+                _node_refs(diff.objects[oid][2], kept)
+            for key in diff.rebound:
+                _node_refs(merged[key], kept)
 
             epoch = heap._epoch + 1
             with heap._store.batch():
-                for oid, canonical in changed.items():
-                    heap._store.put(_ver_key(oid, epoch), entries[oid])
+                for oid in diff.changed:
+                    heap._store.put(_ver_key(oid, epoch), diff.objects[oid][2])
                 for oid in collected:
                     heap._store.put(_ver_key(oid, epoch), {"dead": 1})
                 heap._store.put(
                     _COMMIT_PREFIX + str(epoch),
                     {
-                        "roots": merged_roots,
+                        "roots": merged,
                         "written": sorted(writes),
                         "root_writes": sorted(root_changes),
                         "kept": sorted(kept),
@@ -673,46 +537,34 @@ class HeapTransaction:
             heap._commit_kept[epoch] = frozenset(kept)
             heap._epochs.append(epoch)
             heap._epoch = epoch
+            heap._orphans = set()
             # Re-pin: the transaction continues against what it just
             # committed.
             self.snapshot = epoch
+            rebound_since = set().union(
+                *(heap._root_writes[later_epoch] for later_epoch in later)
+            )
 
-        for oid, canonical in changed.items():
-            self._base_canonical[oid] = canonical
-        for oid in collected:
-            obj = self._obj_by_oid.pop(oid, None)
-            if obj is not None:
-                self._oid_by_id.pop(id(obj), None)
-            self._base_canonical.pop(oid, None)
-        self._root_canonical = current_root_canonical
-        # Fold the merged table into the continuing transaction: roots
-        # other commits added or rebound appear (lazily) at the new
-        # snapshot, roots they deleted disappear.  Roots this
-        # transaction has materialized keep their in-memory objects.
-        for key, node in merged_roots.items():
-            ns_name, root_name = key.split(":", 1)
-            roots = self._namespaces.setdefault(ns_name, {})
-            if root_name in roots and not isinstance(
-                roots[root_name], _LazyRoot
-            ):
-                continue
-            canonical = json.dumps(node, sort_keys=True)
-            if self._root_canonical.get(key) != canonical:
-                roots[root_name] = _LazyRoot(node)
-                self._root_canonical[key] = canonical
-        for ns_name, roots in self._namespaces.items():
-            for root_name in list(roots):
-                key = "%s:%s" % (ns_name, root_name)
-                if key not in merged_roots and isinstance(
-                    roots[root_name], _LazyRoot
-                ):
-                    del roots[root_name]
-                    self._root_canonical.pop(key, None)
+        self._settle(diff, collected)
+        for key in diff.dropped:
+            self._root_nodes.pop(key, None)
+        for key in diff.rebound:
+            self._root_nodes[key] = merged[key]
+        # Roots other commits rebound or deleted since the old snapshot
+        # are read afresh at the new one.
+        for key in rebound_since:
+            if key in merged:
+                self._bind_lazily(key, merged[key])
+            else:
+                ns_name, root_name = key.split(":", 1)
+                self._namespaces.get(ns_name, {}).pop(root_name, None)
+                self._root_state.pop(key, None)
+                self._root_nodes.pop(key, None)
 
         stats = CommitStats(
-            roots_written=len(merged_roots),
-            objects_written=len(changed),
-            objects_unchanged=len(entries) - len(changed),
+            roots_written=len(merged),
+            objects_written=len(diff.changed),
+            objects_unchanged=len(self._stamps) - len(diff.changed),
             objects_collected=len(collected),
         )
         span.annotate(

@@ -28,7 +28,7 @@ The wire format is JSON-compatible (nested lists/dicts of scalars):
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.orders import Atom, PartialRecord, Value
 from repro.errors import SerializationError
@@ -283,13 +283,36 @@ def _node_refs(node: Node, into: Set[int]) -> None:
 
 
 class _Decoder:
-    """One deserialization pass; rebuilds shared/cyclic PObject graphs."""
+    """One deserialization pass; rebuilds shared/cyclic PObject graphs.
+
+    A referenced object is first built as an empty shell, registered
+    before any field is decoded (so cycles resolve); its fields are
+    decoded afterwards from a worklist, so a chain of objects costs no
+    stack depth however long it is.  Value nodes (lists, records) nest
+    on the stack as deep as the value does.
+    """
 
     def __init__(self, object_table: Dict[str, Node]):
         self._table = object_table
         self._built: Dict[int, PObject] = {}
+        # (oid, shell, stored entry) for objects awaiting their fields
+        self._unfilled: List[Tuple[int, PObject, dict]] = []
 
     def decode(self, node: Node) -> object:
+        """Decode ``node`` and fill every object it reaches."""
+        value = self._value(node)
+        while self._unfilled:
+            oid, obj, entry = self._unfilled.pop()
+            for name, field in entry.get("fields", {}).items():
+                obj[name] = self._value(field)
+            obj.mark_transient(*entry.get("transient", []))
+            self._filled(oid, obj)
+        return value
+
+    def _filled(self, oid: int, obj: PObject) -> None:
+        """Called once the fields of ``obj`` are decoded."""
+
+    def _value(self, node: Node) -> object:
         if not isinstance(node, list) or not node:
             raise SerializationError("malformed value node %r" % (node,))
         tag = node[0]
@@ -305,23 +328,23 @@ class _Decoder:
             if tag == "s":
                 return str(node[1])
             if tag == "A":
-                return Atom(self.decode(node[1]))
+                return Atom(self._value(node[1]))
             if tag == "R":
                 return PartialRecord(
-                    {label: self.decode(f) for label, f in node[1]}
+                    {label: self._value(f) for label, f in node[1]}
                 )
             if tag == "L":
-                return [self.decode(v) for v in node[1]]
+                return [self._value(v) for v in node[1]]
             if tag == "T":
-                return tuple(self.decode(v) for v in node[1])
+                return tuple(self._value(v) for v in node[1])
             if tag == "S":
-                return {self.decode(v) for v in node[1]}
+                return {self._value(v) for v in node[1]}
             if tag == "FS":
-                return frozenset(self.decode(v) for v in node[1])
+                return frozenset(self._value(v) for v in node[1])
             if tag == "D":
-                return {key: self.decode(v) for key, v in node[1]}
+                return {key: self._value(v) for key, v in node[1]}
             if tag == "dyn":
-                return Dynamic(self.decode(node[1]), decode_type(node[2]))
+                return Dynamic(self._value(node[1]), decode_type(node[2]))
             if tag == "ty":
                 return decode_type(node[1])
             if tag == "ref":
@@ -333,17 +356,16 @@ class _Decoder:
         raise SerializationError("unknown value tag %r" % (tag,))
 
     def _object(self, oid: int) -> PObject:
-        if oid in self._built:
-            return self._built[oid]
-        try:
-            entry = self._table[str(oid)]
-        except KeyError:
-            raise SerializationError("dangling object reference %d" % oid) from None
-        obj = PObject(entry.get("kind", "Object"))
-        self._built[oid] = obj  # register before decoding fields: cycles
-        for name, node in entry.get("fields", {}).items():
-            obj[name] = self.decode(node)
-        obj.mark_transient(*entry.get("transient", []))
+        obj = self._built.get(oid)
+        if obj is None:
+            try:
+                entry = self._table[str(oid)]
+            except KeyError:
+                raise SerializationError(
+                    "dangling object reference %d" % oid
+                ) from None
+            obj = self._built[oid] = PObject(entry.get("kind", "Object"))
+            self._unfilled.append((oid, obj, entry))
         return obj
 
 
