@@ -30,18 +30,23 @@ whole arrays at a time:
 Like the tracer, the journal, and adaptive estimation, the engine is
 process-global and **off by default**: :func:`enable` flips the
 :data:`COLUMNAR` switch (the REPL's ``:columnar on``), its only switch
-— there is no per-catalog one.  The planner hook lives in
-:mod:`repro.core.query` (``ColumnarExec``); this module knows nothing
-about plans — only arrays, selection vectors, and the kernels over
-them, each property-pinned to the row-at-a-time oracle by the
-Hypothesis suite in ``tests/core/test_columnar.py``.
+— there is no per-catalog one.  The planner side lives in
+:mod:`repro.core.query`: each flat plan node calls its kernel here
+from its ``_kernel`` method, and the plan walk that runs row plans
+runs a ``ColumnarExec``'s lowered subtree node by node, so spans,
+profiling and ``EXPLAIN ANALYZE`` see every columnar operator.  This
+module knows nothing about plans — only arrays, selection vectors, and
+the kernels over them, each property-pinned to the row-at-a-time
+oracle by the Hypothesis suite in ``tests/core/test_columnar.py``
+(and whole plans by ``tests/core/test_plan_oracle.py``).
 
 Scan conversions are cached per relation *object* (``id``-keyed, with
 a weakref that evicts the entry when the relation is collected), so
 repeated queries over a bound catalog pay the row→column transpose
 once.
 
-Metrics: ``columnar.batches`` and ``columnar.rows`` count kernel work,
+Metrics: ``columnar.batches`` and ``columnar.rows`` count kernel work
+(per operator, incremented by the plan walk),
 ``columnar.scan.cache_hits``/``cache_misses`` the conversion cache,
 ``columnar.exec`` and ``columnar.lowered`` (incremented by the
 planner) the adoption of the path.

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core import columnar as _columnar
 from repro.core.flat import FlatRelation
@@ -151,12 +151,13 @@ class Plan:
     """Abstract base of query plans (immutable trees).
 
     Every node decomposes into :meth:`children` (input plans) and
-    :meth:`_apply` (this operator over its inputs' results); the shared
-    :meth:`execute` recursion is therefore instrumentable in one place —
-    when the process-global tracer is on, each node records a span with
-    rows-in/rows-out/elapsed, and :func:`analyze` reuses the same
-    decomposition to time each operator separately for
-    :func:`explain_analyze`.
+    :meth:`_apply` (this operator over its inputs' results); the flat
+    operators also carry ``_kernel``, the same operator on the columnar
+    representation.  One walk (:func:`_walk`) evaluates every plan in
+    both representations, so it is instrumentable in one place — when
+    the process-global tracer is on, each node records a span with
+    rows-in/rows-out/elapsed, and :func:`analyze` runs the same walk to
+    time each operator separately for :func:`explain_analyze`.
     """
 
     def where(self, *predicates: Predicate) -> "Plan":
@@ -175,7 +176,10 @@ class Plan:
         return Join(self, other)
 
     # Subclasses provide: schema(catalog), estimate(catalog),
-    # children(), _apply(catalog, *inputs), label().
+    # children(), _apply(catalog, *inputs), label().  Scan, Select,
+    # Project and Join also provide their columnar twins:
+    # _kernel(catalog, *inputs) -> ((relation, selection), batches) and
+    # columnar_label().
 
     def children(self) -> Tuple["Plan", ...]:
         """The input plans of this node (empty for leaves)."""
@@ -188,16 +192,16 @@ class Plan:
     def execute(self, catalog) -> FlatRelation:
         """Evaluate the plan bottom-up against ``catalog``.
 
-        With tracing, profiling, and the slow-query log off this is the
-        children's results fed through :meth:`_apply` — the only
-        observability cost is three attribute checks per node.  With
-        tracing on, every node records a nested span carrying rows-in,
-        rows-out, and elapsed wall time; with the profiler on, each
-        operator's own wall time, rows, and join-pair counter deltas
-        accumulate per label; with the slow-query log on, the
-        *outermost* execute is wall-clocked and captured when it
-        crosses the threshold (the plan text is only rendered on the
-        slow path).
+        Runs the plan walk (:func:`_walk`).  With tracing, profiling,
+        and the slow-query log off this is the children's results fed
+        through each operator — the only observability cost is two
+        attribute checks per node.  With tracing on, every node records
+        a nested span carrying rows-in, rows-out, and elapsed wall time;
+        with the profiler on, each operator's own wall time, rows, and
+        join-pair counter deltas accumulate per label; with the
+        slow-query log on, the *outermost* execute is wall-clocked and
+        captured when it crosses the threshold (the plan text is only
+        rendered on the slow path).
         """
         slowlog = _slowlog.CURRENT
         if slowlog.enabled and slowlog.outermost():
@@ -206,38 +210,8 @@ class Plan:
                 self.label,
                 lambda: _condensed_plan(self),
             ):
-                return self._executed(catalog)
-        return self._executed(catalog)
-
-    def _executed(self, catalog) -> FlatRelation:
-        tracer = _trace.CURRENT
-        profiler = _profile.CURRENT
-        if not tracer.enabled and not profiler.enabled:
-            inputs = tuple(child.execute(catalog) for child in self.children())
-            return self._apply(catalog, *inputs)
-        with tracer.span("plan." + type(self).__name__.lower()) as span_obj:
-            inputs = tuple(child.execute(catalog) for child in self.children())
-            if profiler.enabled:
-                tried_before, pruned_before = _pairs_totals()
-                started = profiler.clock()
-                result = self._apply(catalog, *inputs)
-                elapsed = profiler.clock() - started
-                tried_after, pruned_after = _pairs_totals()
-                profiler.record(
-                    self.label(),
-                    elapsed,
-                    rows_out=len(result),
-                    pairs_tried=tried_after - tried_before,
-                    pairs_pruned=pruned_after - pruned_before,
-                )
-            else:
-                result = self._apply(catalog, *inputs)
-            span_obj.annotate(
-                node=self.label(),
-                rows_in=sum(len(i) for i in inputs),
-                rows_out=len(result),
-            )
-        return result
+                return _walk(self, catalog)
+        return _walk(self, catalog)
 
 
 @dataclass(frozen=True)
@@ -252,11 +226,18 @@ class Scan(Plan):
     def _apply(self, catalog) -> FlatRelation:
         return _relation(catalog, self.name)
 
+    def _kernel(self, catalog):
+        rel = _columnar.scan(_relation(catalog, self.name))
+        return (rel, None), _columnar.batch_count(rel.nrows)
+
     def estimate(self, catalog) -> float:
         return COST_MODEL.clamp_rows(len(_relation(catalog, self.name)))
 
     def label(self) -> str:
         return "Scan(%s)" % self.name
+
+    def columnar_label(self) -> str:
+        return "CScan(%s)" % self.name
 
 
 @dataclass(frozen=True)
@@ -283,6 +264,14 @@ class Select(Plan):
         self.schema(catalog)  # validate
         return child_result.select(self.predicate.evaluate)
 
+    def _kernel(self, catalog, child):
+        rel, sel = child
+        predicate = self.predicate
+        sel, batches = _columnar.filter_sel(
+            rel, sel, predicate.op, predicate.attribute, predicate.operand
+        )
+        return (rel, sel), batches
+
     def estimate(self, catalog) -> float:
         selectivity = _predicate_selectivity(
             self.predicate, self.child, catalog
@@ -293,6 +282,9 @@ class Select(Plan):
 
     def label(self) -> str:
         return "Select[%s]" % self.predicate
+
+    def columnar_label(self) -> str:
+        return "CFilter[%s]" % self.predicate
 
 
 @dataclass(frozen=True)
@@ -318,11 +310,18 @@ class Project(Plan):
     def _apply(self, catalog, child_result: FlatRelation) -> FlatRelation:
         return child_result.project(self.attributes)
 
+    def _kernel(self, catalog, child):
+        rel, batches = _columnar.project(*child, self.attributes)
+        return (rel, None), batches
+
     def estimate(self, catalog) -> float:
         return self.child.estimate(catalog)
 
     def label(self) -> str:
         return "Project[%s]" % ", ".join(self.attributes)
+
+    def columnar_label(self) -> str:
+        return "CProject[%s]" % ", ".join(self.attributes)
 
 
 @dataclass(frozen=True)
@@ -346,6 +345,10 @@ class Join(Plan):
         self, catalog, left_result: FlatRelation, right_result: FlatRelation
     ) -> FlatRelation:
         return left_result.natural_join(right_result)
+
+    def _kernel(self, catalog, left, right):
+        rel, batches = _columnar.hash_join(*left, *right)
+        return (rel, None), batches
 
     def estimate(self, catalog) -> float:
         left_rows = self.left.estimate(catalog)
@@ -376,6 +379,9 @@ class Join(Plan):
     def label(self) -> str:
         return "Join"
 
+    def columnar_label(self) -> str:
+        return "CHashJoin"
+
 
 @dataclass(frozen=True)
 class IndexScan(Plan):
@@ -404,7 +410,7 @@ class IndexScan(Plan):
         )
         if index is None:
             # Defensive: the catalog lost its index; fall back to a scan.
-            return Scan(self.name).execute(catalog).select(
+            return _relation(catalog, self.name).select(
                 self.predicate.evaluate
             )
         return index.select(self.predicate.op, self.predicate.operand)
@@ -444,11 +450,12 @@ class ColumnarExec(Plan):
     everything above (row operators, ``EXPLAIN``, result equality) is
     oblivious to the representation change.
 
-    ``children()`` is empty — the inner plan is an implementation
-    detail the node evaluates itself — but ``explain`` renders the
-    inner tree beneath it with the columnar operator names (``CScan``,
-    ``CFilter``, ``CProject``, ``CHashJoin``), and ``explain_analyze``
-    times every inner operator, reporting batch counts and rows/sec.
+    ``children()`` is empty — the node walks the inner plan itself, in
+    its ``_apply`` and under the caller's measured run, if any — but
+    ``explain`` renders the inner tree beneath it with the columnar
+    operator names (``CScan``, ``CFilter``, ``CProject``,
+    ``CHashJoin``), and ``explain_analyze`` times every inner operator,
+    reporting batch counts and rows/sec.
     """
 
     inner: Plan
@@ -459,8 +466,8 @@ class ColumnarExec(Plan):
     def estimate(self, catalog) -> float:
         return self.inner.estimate(catalog)
 
-    def _apply(self, catalog) -> FlatRelation:
-        (rel, sel), __ = _ceval(self.inner, catalog, timed=False)
+    def _apply(self, catalog, run: Optional["_Run"] = None) -> FlatRelation:
+        rel, sel = _walk(self.inner, catalog, run, columnar=True)
         _metrics.REGISTRY.counter("columnar.exec").inc()
         return _columnar.to_flat(rel, sel)
 
@@ -478,23 +485,6 @@ def _relation(catalog, name: str) -> FlatRelation:
         return catalog[name]
     except KeyError:
         raise RelationError("catalog has no relation %r" % (name,)) from None
-
-
-def _pairs_totals() -> Tuple[int, int]:
-    """The current (tried, pruned) join-pair totals, both kernels.
-
-    Flat hash joins count under ``flat.join.*``, the generalized
-    cochain kernel under ``relation.join.*``; reading both before and
-    after one operator's ``_apply`` attributes its pair work per node
-    (EXPLAIN ANALYZE) or per label (the profiler).
-    """
-    registry = _metrics.REGISTRY
-    return (
-        registry.value("relation.join.pairs_tried")
-        + registry.value("flat.join.pairs_tried"),
-        registry.value("relation.join.pairs_pruned")
-        + registry.value("flat.join.pairs_pruned"),
-    )
 
 
 def _condensed_plan(plan: Plan) -> str:
@@ -623,7 +613,7 @@ def optimize(plan: Plan, catalog, refresh_stats: bool = True) -> Plan:
         plan = _lower_columnar(plan, catalog)
     if _events.CURRENT.enabled:
         names: set = set()
-        _base_names(plan, names)
+        _base_names(original, names)
         _events.publish(
             "INFO",
             "query",
@@ -640,8 +630,6 @@ def _base_names(plan: Plan, names: set) -> None:
     """Collect every base-relation name the plan tree reads."""
     if isinstance(plan, (Scan, IndexScan)):
         names.add(plan.name)
-    elif isinstance(plan, ColumnarExec):
-        _base_names(plan.inner, names)
     for child in plan.children():
         _base_names(child, names)
 
@@ -882,7 +870,7 @@ def _maybe_project(plan: Plan, needed, schema) -> Plan:
 
 
 # ---------------------------------------------------------------------------
-# Columnar lowering and evaluation
+# Columnar lowering
 # ---------------------------------------------------------------------------
 
 # Predicate operators the vectorized filter kernel implements; a Select
@@ -950,96 +938,6 @@ def _lower_columnar(plan: Plan, catalog) -> Plan:
     return plan
 
 
-def _columnar_label(plan: Plan) -> str:
-    """The columnar operator name of one lowered plan node."""
-    if isinstance(plan, Scan):
-        return "CScan(%s)" % plan.name
-    if isinstance(plan, Select):
-        return "CFilter[%s]" % plan.predicate
-    if isinstance(plan, Project):
-        return "CProject[%s]" % ", ".join(plan.attributes)
-    if isinstance(plan, Join):
-        return "CHashJoin"
-    return plan.label()
-
-
-def _ceval(plan: Plan, catalog, timed: bool):
-    """Evaluate an eligible subtree on the columnar kernels.
-
-    Returns ``((relation, selection), stats)`` — the columnar state
-    flowing between operators, plus a :class:`NodeStats` tree when
-    ``timed`` (the EXPLAIN ANALYZE path; ``None`` otherwise).  Batch
-    and row counts always land in ``columnar.batches``/
-    ``columnar.rows``; with the profiler on, each operator records
-    under its columnar label.
-    """
-    profiler = _profile.CURRENT
-    measure = timed or profiler.enabled
-    child_outs = []
-    child_stats: List[NodeStats] = []
-    child_rows: List[int] = []
-    for child in plan.children():
-        out, stats = _ceval(child, catalog, timed)
-        child_outs.append(out)
-        child_stats.append(stats)
-        rel, sel = out
-        child_rows.append(rel.nrows if sel is None else len(sel))
-    started = time.perf_counter() if measure else 0.0
-    if isinstance(plan, Scan):
-        rel = _columnar.scan(_relation(catalog, plan.name))
-        sel = None
-        batches = _columnar.batch_count(rel.nrows)
-    elif isinstance(plan, Select):
-        rel, child_sel = child_outs[0]
-        predicate = plan.predicate
-        sel, batches = _columnar.filter_sel(
-            rel,
-            child_sel,
-            predicate.op,
-            predicate.attribute,
-            predicate.operand,
-        )
-    elif isinstance(plan, Project):
-        rel, batches = _columnar.project(*child_outs[0], plan.attributes)
-        sel = None
-    elif isinstance(plan, Join):
-        rel, batches = _columnar.hash_join(*child_outs[0], *child_outs[1])
-        sel = None
-    else:
-        raise RelationError(
-            "plan node %s is not columnar-eligible" % plan.label()
-        )
-    rows_out = rel.nrows if sel is None else len(sel)
-    registry = _metrics.REGISTRY
-    registry.counter("columnar.batches").inc(batches)
-    registry.counter("columnar.rows").inc(rows_out)
-    node_stats: Optional[NodeStats] = None
-    if measure:
-        elapsed = time.perf_counter() - started
-        label = _columnar_label(plan)
-        if profiler.enabled:
-            profiler.record(label, elapsed, rows_out=rows_out)
-        if timed:
-            estimate = plan.estimate(catalog)
-            static_estimate = None
-            if isinstance(plan, Select) and _adaptive_live(catalog):
-                with _adaptive.ADAPTIVE.suppressed():
-                    static_estimate = plan.estimate(catalog)
-            node_stats = NodeStats(
-                label=label,
-                estimate=estimate,
-                rows_in=tuple(child_rows),
-                rows_out=rows_out,
-                self_seconds=elapsed,
-                total_seconds=elapsed
-                + sum(s.total_seconds for s in child_stats),
-                children=child_stats,
-                batches=batches,
-                static_estimate=static_estimate,
-            )
-    return (rel, sel), node_stats
-
-
 # ---------------------------------------------------------------------------
 # Introspection
 # ---------------------------------------------------------------------------
@@ -1052,21 +950,15 @@ def explain(plan: Plan, indent: int = 0) -> str:
     children), but the rendering still shows the lowered tree beneath
     it under the columnar operator names.
     """
-    pad = "  " * indent
-    lines = [pad + plan.label()]
+    return "\n".join(_explained(plan, indent, columnar=False))
+
+
+def _explained(plan: Plan, indent: int, columnar: bool) -> Iterator[str]:
+    yield "  " * indent + (plan.columnar_label() if columnar else plan.label())
     if isinstance(plan, ColumnarExec):
-        lines.append(_explain_columnar(plan.inner, indent + 1))
+        yield from _explained(plan.inner, indent + 1, columnar=True)
     for child in plan.children():
-        lines.append(explain(child, indent + 1))
-    return "\n".join(lines)
-
-
-def _explain_columnar(plan: Plan, indent: int) -> str:
-    pad = "  " * indent
-    lines = [pad + _columnar_label(plan)]
-    for child in plan.children():
-        lines.append(_explain_columnar(child, indent + 1))
-    return "\n".join(lines)
+        yield from _explained(child, indent + 1, columnar)
 
 
 @dataclass
@@ -1143,51 +1035,181 @@ class NodeStats:
                 yield descendant
 
 
-def _analyze_columnar(
-    plan: ColumnarExec, catalog
-) -> Tuple[FlatRelation, NodeStats]:
-    """The :func:`analyze` arm for a lowered subtree.
+# The tracer analyze() runs under: a switched-off one.  EXPLAIN ANALYZE
+# measures into its NodeStats tree; a span tree it left on the global
+# tracer outside any request (a served ``:explain``) would never be
+# harvested.
+_UNTRACED = _trace.Tracer()
+_UNTRACED.enabled = False
 
-    The inner operators run through :func:`_ceval` with timing on, so
-    the stats tree carries one node per columnar operator — batch
-    counts included — under the ``ColumnarExec`` root; selection nodes
-    still feed the adaptive store, exactly like their row twins.
+
+class _Run:
+    """The state one measured walk of a plan shares across its nodes.
+
+    ``finished`` holds the :class:`NodeStats` of evaluated nodes that no
+    parent has claimed yet: a node claims everything that finished after
+    it started — its children and, for a :class:`ColumnarExec`, the
+    lowered subtree its ``_apply`` walked.  ``bookkeeping`` sums the
+    seconds spent accounting for finished nodes, which no node's time
+    includes.  ``analyzing`` adds what :func:`analyze` records per node
+    (see :func:`_observe`) and leaves the nodes untraced.
+    """
+
+    __slots__ = ("analyzing", "tracer", "finished", "bookkeeping")
+
+    def __init__(self, analyzing: bool):
+        self.analyzing = analyzing
+        self.tracer = _UNTRACED if analyzing else _trace.CURRENT
+        self.finished: List[NodeStats] = []
+        self.bookkeeping = 0.0
+
+
+def _walk(
+    plan: Plan, catalog, run: Optional[_Run] = None, columnar: bool = False
+):
+    """Evaluate ``plan`` bottom-up: the one walk behind
+    :meth:`Plan.execute`, :func:`analyze` and :meth:`ColumnarExec._apply`.
+
+    ``columnar`` is the representation the subtree was lowered to: row
+    nodes hand :class:`FlatRelation` s up through ``_apply``, lowered
+    ones ``(ColumnarRelation, selection)`` pairs through ``_kernel``.
+    With no ``run`` and the tracer and profiler off nothing is measured.
+    Otherwise every node, in either representation, is accounted once:
+    a tracer span (executions only), a :class:`NodeStats` whose self
+    time and join pairs exclude what the node evaluated inside its
+    operator (a ``ColumnarExec``'s lowered subtree, measured node by
+    node), the profiler's per-label record, and :func:`_observe` when
+    analyzing.
+    """
+    if run is None:
+        if not (_trace.CURRENT.enabled or _profile.CURRENT.enabled):
+            inputs = [
+                _walk(child, catalog, None, columnar)
+                for child in plan.children()
+            ]
+            if columnar:
+                return _run_kernel(plan, catalog, inputs)[0]
+            return plan._apply(catalog, *inputs)
+        run = _Run(analyzing=False)
+    finished = run.finished
+    mark = len(finished)
+    with run.tracer.span("plan." + type(plan).__name__.lower()) as span:
+        inputs = [
+            _walk(child, catalog, run, columnar) for child in plan.children()
+        ]
+        claimed = len(finished)
+        bookkeeping = run.bookkeeping
+        tried, pruned = _metrics.join_pairs()
+        started = time.perf_counter()
+        if columnar:
+            out, rows_out, batches = _run_kernel(plan, catalog, inputs)
+        else:
+            if isinstance(plan, ColumnarExec):
+                out = plan._apply(catalog, run)
+            else:
+                out = plan._apply(catalog, *inputs)
+            rows_out, batches = len(out), 0
+        stopped = time.perf_counter()
+        tried_after, pruned_after = _metrics.join_pairs()
+        children = finished[mark:]
+        del finished[mark:]
+        # What the operator itself walked (a ColumnarExec's lowered
+        # subtree) keeps its own time and pairs, and the bookkeeping
+        # for it is nobody's time.
+        nested_roots = children[claimed - mark:]
+        nested = [node for root in nested_roots for node in root.walk()]
+        self_seconds = (
+            stopped
+            - started
+            - sum(root.total_seconds for root in nested_roots)
+            - (run.bookkeeping - bookkeeping)
+        )
+        stats = NodeStats(
+            label=plan.columnar_label() if columnar else plan.label(),
+            estimate=0.0,
+            rows_in=tuple(child.rows_out for child in children),
+            rows_out=rows_out,
+            self_seconds=self_seconds,
+            total_seconds=self_seconds
+            + sum(child.total_seconds for child in children),
+            children=children,
+            pairs_tried=tried_after
+            - tried
+            - sum(node.pairs_tried for node in nested),
+            pairs_pruned=pruned_after
+            - pruned
+            - sum(node.pairs_pruned for node in nested),
+            batches=batches,
+        )
+        span.annotate(
+            node=stats.label, rows_in=sum(stats.rows_in), rows_out=rows_out
+        )
+    profiler = _profile.CURRENT
+    if profiler.enabled:
+        profiler.record(
+            stats.label,
+            self_seconds,
+            rows_out=rows_out,
+            pairs_tried=stats.pairs_tried,
+            pairs_pruned=stats.pairs_pruned,
+        )
+    if run.analyzing:
+        _observe(plan, stats, catalog)
+    finished.append(stats)
+    run.bookkeeping += time.perf_counter() - stopped
+    return out
+
+
+def _run_kernel(plan: Plan, catalog, inputs):
+    """A lowered node's kernel over its inputs: ``(output, rows, batches)``.
+
+    Batch and row counts land in ``columnar.batches``/``columnar.rows``
+    whether or not the walk is measured.
+    """
+    (rel, sel), batches = plan._kernel(catalog, *inputs)
+    rows = rel.nrows if sel is None else len(sel)
+    registry = _metrics.REGISTRY
+    registry.counter("columnar.batches").inc(batches)
+    registry.counter("columnar.rows").inc(rows)
+    return (rel, sel), rows, batches
+
+
+def _observe(plan: Plan, stats: NodeStats, catalog) -> None:
+    """What :func:`analyze` records for one measured node.
+
+    The ``query.*`` metrics, the optimizer's estimate beside the actual
+    rows, the adaptive-correction counter and event, the drift
+    accounting, and the feedback that trains the next run's estimate.
     """
     registry = _metrics.REGISTRY
-    started = time.perf_counter()
-    (rel, sel), inner_stats = _ceval(plan.inner, catalog, timed=True)
-    result = _columnar.to_flat(rel, sel)
-    total_seconds = time.perf_counter() - started
-    registry.counter("columnar.exec").inc()
     registry.counter("query.nodes").inc()
-    registry.counter("query.rows_out").inc(len(result))
-    self_seconds = max(total_seconds - inner_stats.total_seconds, 0.0)
-    registry.histogram("query.node.seconds").observe(self_seconds)
-    stats = NodeStats(
-        label=plan.label(),
-        estimate=plan.estimate(catalog),
-        rows_in=(inner_stats.rows_out,),
-        rows_out=len(result),
-        self_seconds=self_seconds,
-        total_seconds=total_seconds,
-        children=[inner_stats],
-        batches=sum(node.batches for node in inner_stats.walk()),
-    )
+    registry.counter("query.rows_out").inc(stats.rows_out)
+    registry.histogram("query.node.seconds").observe(stats.self_seconds)
+    stats.estimate = plan.estimate(catalog)
+    if isinstance(plan, (Select, IndexScan)) and _adaptive_live(catalog):
+        # Re-estimate with feedback suppressed so "corrected by
+        # feedback" is attributable per node.
+        with _adaptive.ADAPTIVE.suppressed():
+            stats.static_estimate = plan.estimate(catalog)
+    if stats.corrected:
+        registry.counter("stats.adaptive.corrections").inc()
+        if _events.CURRENT.enabled:
+            _events.publish(
+                "INFO",
+                "stats",
+                "adaptive_correction",
+                node=stats.label,
+                static=stats.static_estimate,
+                blended=stats.estimate,
+                rows_out=stats.rows_out,
+            )
+    # Estimate-error accounting: the drift histogram tracks how wrong
+    # the optimizer is over the process lifetime; a "miss" is a node
+    # whose estimate is off by more than 2x in either direction.
     registry.histogram("query.estimate.drift").observe(stats.drift_ratio)
     if stats.drift_ratio > 2.0:
         registry.counter("query.estimate.misses").inc()
-    profiler = _profile.CURRENT
-    if profiler.enabled:
-        profiler.record(stats.label, self_seconds, rows_out=len(result))
-    _columnar_feedback(plan.inner, inner_stats, catalog)
-    return result, stats
-
-
-def _columnar_feedback(plan: Plan, stats: NodeStats, catalog) -> None:
-    """Feed every lowered selection's observation to the adaptive store."""
     _record_feedback(plan, stats, catalog)
-    for child, child_stats in zip(plan.children(), stats.children):
-        _columnar_feedback(child, child_stats, catalog)
 
 
 def analyze(plan: Plan, catalog) -> Tuple[FlatRelation, NodeStats]:
@@ -1197,78 +1219,15 @@ def analyze(plan: Plan, catalog) -> Tuple[FlatRelation, NodeStats]:
     ``self_seconds`` isolates each operator's own cost — unlike a span
     around ``execute``, which would fold the subtree in.  Per-node
     cardinalities and timings also land in the global metrics registry
-    (``query.nodes``, ``query.rows_out``, ``query.node.seconds``).
-    A :class:`ColumnarExec` node is measured operator-by-operator on
-    the columnar side instead (see :func:`_analyze_columnar`).
+    (``query.nodes``, ``query.rows_out``, ``query.node.seconds``), and
+    with the profiler on in the same per-label accumulation as
+    :meth:`Plan.execute`'s, so a REPL ``:explain`` populates
+    ``:profile``.  A :class:`ColumnarExec` node is measured operator by
+    operator on the columnar side, under the columnar names.
     """
-    if isinstance(plan, ColumnarExec):
-        return _analyze_columnar(plan, catalog)
-    child_results: List[FlatRelation] = []
-    child_stats: List[NodeStats] = []
-    for child in plan.children():
-        child_result, stats = analyze(child, catalog)
-        child_results.append(child_result)
-        child_stats.append(stats)
-    tried_before, pruned_before = _pairs_totals()
-    started = time.perf_counter()
-    result = plan._apply(catalog, *child_results)
-    self_seconds = time.perf_counter() - started
-    tried_after, pruned_after = _pairs_totals()
-    registry = _metrics.REGISTRY
-    registry.counter("query.nodes").inc()
-    registry.counter("query.rows_out").inc(len(result))
-    registry.histogram("query.node.seconds").observe(self_seconds)
-    estimate = plan.estimate(catalog)
-    static_estimate = None
-    if isinstance(plan, (Select, IndexScan)) and _adaptive_live(catalog):
-        # Re-estimate with feedback suppressed so "corrected by
-        # feedback" is attributable per node.
-        with _adaptive.ADAPTIVE.suppressed():
-            static_estimate = plan.estimate(catalog)
-    stats = NodeStats(
-        label=plan.label(),
-        estimate=estimate,
-        rows_in=tuple(len(r) for r in child_results),
-        rows_out=len(result),
-        self_seconds=self_seconds,
-        total_seconds=self_seconds + sum(s.total_seconds for s in child_stats),
-        children=child_stats,
-        pairs_tried=tried_after - tried_before,
-        pairs_pruned=pruned_after - pruned_before,
-        static_estimate=static_estimate,
-    )
-    if stats.corrected:
-        registry.counter("stats.adaptive.corrections").inc()
-        if _events.CURRENT.enabled:
-            _events.publish(
-                "INFO",
-                "stats",
-                "adaptive_correction",
-                node=stats.label,
-                static=static_estimate,
-                blended=estimate,
-                rows_out=stats.rows_out,
-            )
-    # Estimate-error accounting: the drift histogram tracks how wrong
-    # the optimizer is over the process lifetime; a "miss" is a node
-    # whose estimate is off by more than 2x in either direction.
-    registry.histogram("query.estimate.drift").observe(stats.drift_ratio)
-    if stats.drift_ratio > 2.0:
-        registry.counter("query.estimate.misses").inc()
-    # EXPLAIN ANALYZE is itself a measured run: with the profiler on,
-    # its per-node timings land in the same per-label accumulation as
-    # Plan.execute's, so a REPL `:explain` populates `:profile`.
-    profiler = _profile.CURRENT
-    if profiler.enabled:
-        profiler.record(
-            stats.label,
-            self_seconds,
-            rows_out=len(result),
-            pairs_tried=stats.pairs_tried,
-            pairs_pruned=stats.pairs_pruned,
-        )
-    _record_feedback(plan, stats, catalog)
-    return result, stats
+    run = _Run(analyzing=True)
+    result = _walk(plan, catalog, run)
+    return result, run.finished[0]
 
 
 def _base_relation_name(plan: Plan) -> Optional[str]:
@@ -1276,9 +1235,6 @@ def _base_relation_name(plan: Plan) -> Optional[str]:
     while True:
         if isinstance(plan, (Scan, IndexScan)):
             return plan.name
-        if isinstance(plan, ColumnarExec):
-            plan = plan.inner
-            continue
         children = plan.children()
         if len(children) != 1:
             return None

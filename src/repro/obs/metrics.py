@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "Counter",
@@ -46,6 +46,7 @@ __all__ = [
     "MetricsRegistry",
     "REGISTRY",
     "get_metrics",
+    "join_pairs",
     "reset_metrics",
 ]
 
@@ -390,3 +391,18 @@ def get_metrics() -> MetricsRegistry:
 def reset_metrics() -> None:
     """Zero the process-global registry (handles stay valid)."""
     REGISTRY.reset()
+
+
+def join_pairs() -> Tuple[int, int]:
+    """The (tried, pruned) join-pair totals of both join kernels.
+
+    Flat hash joins count under ``flat.join.*``, the generalized cochain
+    kernel under ``relation.join.*``; reading both before and after a
+    measured run says how much join work it did — per plan node
+    (EXPLAIN ANALYZE, the profiler) or per slow query.
+    """
+    value = REGISTRY.value
+    return (
+        value("relation.join.pairs_tried") + value("flat.join.pairs_tried"),
+        value("relation.join.pairs_pruned") + value("flat.join.pairs_pruned"),
+    )

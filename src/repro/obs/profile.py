@@ -9,9 +9,14 @@ two identical runs profile identically.
 
 Two instrumentation points feed it:
 
-* :meth:`repro.core.query.Plan.execute` attributes each operator's own
+* the plan walk behind :meth:`repro.core.query.Plan.execute` and
+  :func:`~repro.core.query.analyze` attributes each operator's own
   wall time (children excluded), rows out, and the pair-counter deltas
-  its ``_apply`` caused, keyed by the operator's ``label()``;
+  it caused, keyed by the operator's label — row operators under
+  ``label()``, the operators of a lowered subtree under their columnar
+  names (``CScan``, ``CHashJoin``, …), with ``ColumnarExec`` itself
+  booking only what its lowered operators did not, so the per-label
+  self times of one run never add up to more than its wall time;
 * :meth:`repro.core.relation.GeneralizedRelation.join` attributes the
   cochain kernel's work (pairs tried/pruned) under ``relation.join``.
 

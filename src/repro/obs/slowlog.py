@@ -201,7 +201,7 @@ class _Measure:
     def __enter__(self) -> "_Measure":
         local = self._log._local
         local.depth = getattr(local, "depth", 0) + 1
-        self._pairs = self._log._pairs_snapshot()
+        self._pairs = _metrics.join_pairs()
         self._started = self._log._clock()
         return self
 
@@ -211,7 +211,7 @@ class _Measure:
         local.depth = getattr(local, "depth", 1) - 1
         if self._log.would_record(elapsed):
             before_tried, before_pruned = self._pairs
-            after_tried, after_pruned = self._log._pairs_snapshot()
+            after_tried, after_pruned = _metrics.join_pairs()
             self._log.record(
                 self._kind,
                 _resolve(self._query),
@@ -343,19 +343,6 @@ class SlowLog:
                 request=entry.request,
             )
         return entry
-
-    @staticmethod
-    def _pairs_snapshot():
-        """Join pairs (tried, pruned) across both kernels — deltas over
-        a measured run say how much work the slow query actually did."""
-        registry = _metrics.REGISTRY
-        tried = registry.value("relation.join.pairs_tried") + registry.value(
-            "flat.join.pairs_tried"
-        )
-        pruned = registry.value(
-            "relation.join.pairs_pruned"
-        ) + registry.value("flat.join.pairs_pruned")
-        return tried, pruned
 
     # -- reads --------------------------------------------------------------
 

@@ -171,22 +171,28 @@ def reachable(roots, include_transient: bool = False) -> List[PObject]:
     """
     seen: Set[int] = set()
     found: List[PObject] = []
-
-    def visit(value: object) -> None:
-        for item in _children(value, include_transient):
+    for root in roots if isinstance(roots, (list, tuple)) else [roots]:
+        if isinstance(root, PObject) and id(root) not in seen:
+            seen.add(id(root))
+            found.append(root)
+        # Depth-first with an explicit stack of child iterators, so a
+        # chain of any length costs no interpreter stack.
+        stack = [_children(root, include_transient)]
+        while stack:
+            item = next(stack[-1], _END)
+            if item is _END:
+                stack.pop()
+                continue
             if isinstance(item, PObject):
                 if id(item) in seen:
                     continue
                 seen.add(id(item))
                 found.append(item)
-            visit(item)
-
-    for root in roots if isinstance(roots, (list, tuple)) else [roots]:
-        if isinstance(root, PObject) and id(root) not in seen:
-            seen.add(id(root))
-            found.append(root)
-        visit(root)
+            stack.append(_children(item, include_transient))
     return found
+
+
+_END = object()  # the exhausted-iterator sentinel of reachable()
 
 
 def _children(value: object, include_transient: bool) -> Iterator[object]:

@@ -9,9 +9,11 @@ import re
 
 import pytest
 
+from repro.core import columnar, query
 from repro.core.flat import FlatRelation
 from repro.core.index import Catalog
 from repro.core.query import (
+    ColumnarExec,
     analyze,
     eq,
     explain,
@@ -20,6 +22,7 @@ from repro.core.query import (
     scan,
 )
 from repro.obs.metrics import REGISTRY
+from repro.stats.cost import CostModel
 
 EMP = FlatRelation(
     ("Emp", "Dept", "Salary"),
@@ -212,9 +215,17 @@ def test_pruning_ratio_definition():
     )
 
 
-def test_analyze_records_node_metrics():
+@pytest.mark.parametrize("lowered", [False, True], ids=["row", "lowered"])
+def test_analyze_records_node_metrics(lowered, monkeypatch):
     catalog = EMPLOYEES_CATALOG
+    if lowered:
+        # Floor the setup charge so the 8-row catalog lowers whole.
+        monkeypatch.setattr(
+            query, "COST_MODEL", CostModel(columnar_setup_rows=0.0)
+        )
+        columnar.enable()
     plan = optimize(employees_query(), catalog)
+    assert isinstance(plan, ColumnarExec) == lowered
     nodes_before = REGISTRY.counter("query.nodes").value
     rows_before = REGISTRY.counter("query.rows_out").value
     timings_before = REGISTRY.histogram("query.node.seconds").count

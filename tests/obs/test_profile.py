@@ -1,8 +1,11 @@
 """The execution profiler: per-operator attribution and the global switch."""
 
+import time
+
+from repro.core import columnar
 from repro.core.flat import FlatRelation
 from repro.core.index import Catalog
-from repro.core.query import analyze, eq, optimize, scan
+from repro.core.query import ColumnarExec, analyze, eq, optimize, scan
 from repro.core.relation import GeneralizedRelation, join_with_fastpath
 from repro.obs import profile
 from repro.obs.profile import OpProfile, Profiler
@@ -116,6 +119,34 @@ class TestPlanAttribution:
                  if op.label.startswith(("Scan", "IndexScan"))]
         assert scans and all(op.pairs_tried == 0 for op in scans)
         assert all(op.calls >= 1 for op in profiler.ops())
+
+    def test_lowered_plan_books_each_operator_once(self):
+        catalog = star_catalog()
+        columnar.enable()
+        plan = optimize(
+            scan("emp")
+            .join(scan("dept"))
+            .where(eq("Salary", 42))
+            .project(["Emp", "City"]),
+            catalog,
+        )
+        assert isinstance(plan, ColumnarExec)
+        profiler = profile.enable()
+        profiler.clear()
+        started = time.perf_counter()
+        plan.execute(catalog)
+        wall = time.perf_counter() - started
+        ops = profiler.ops()
+        # Self times partition the run: the boundary node books only
+        # what its lowered operators did not.
+        assert sum(op.seconds for op in ops) <= wall
+        join = next(op for op in ops if op.label == "CHashJoin")
+        assert join.pairs_tried + join.pairs_pruned > 0
+        assert all(
+            op.pairs_tried == op.pairs_pruned == 0
+            for op in ops
+            if op is not join
+        )
 
     def test_relation_join_attributes_kernel_work(self):
         profiler = profile.enable()

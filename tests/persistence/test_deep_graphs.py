@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from repro.errors import PersistenceError
-from repro.persistence.heap import PObject
+from repro.persistence.heap import PObject, reachable
 from repro.persistence.intrinsic import PersistentHeap
 from repro.persistence.mvcc import MVCCHeap
 from repro.persistence.serialize import deserialize, serialize
@@ -68,6 +68,13 @@ class TestLongChains:
 
     def test_deserialize(self):
         assert_chain(deserialize(serialize(chain_graph())))
+
+    def test_reachable_in_discovery_order(self):
+        head = chain_graph()
+        found = reachable(head)
+        # Depth-first discovery: the head, its leaf, then the chain.
+        assert found[0] is head and found[1] is head["leaf"]
+        assert [node["i"] for node in found[2:]] == list(range(1, CHAIN))
 
 
 class TestTooDeep:

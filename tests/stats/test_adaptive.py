@@ -13,9 +13,17 @@ estimates.
 
 import pytest
 
+from repro.core import columnar
 from repro.core.flat import FlatRelation
 from repro.core.index import Catalog
-from repro.core.query import analyze, eq, explain_analyze, optimize, scan
+from repro.core.query import (
+    ColumnarExec,
+    analyze,
+    eq,
+    explain_analyze,
+    optimize,
+    scan,
+)
 from repro.lang.repl import Repl
 from repro.obs import events as _events
 from repro.obs.metrics import REGISTRY
@@ -205,18 +213,27 @@ class TestFeedbackLoop:
         assert not node.corrected
         assert node.static_estimate == pytest.approx(node.estimate)
 
-    def test_corrections_counter_and_event(self):
+    @pytest.mark.parametrize("lowered", [False, True], ids=["row", "lowered"])
+    def test_corrections_counter_and_event(self, lowered):
         adaptive.enable()
+        if lowered:
+            columnar.enable()
         journal = _events.enable()
         try:
             journal.clear()
             catalog = Catalog({"orders": skewed_orders(400)})
             plan = scan("orders").where(eq("Status", "failed"))
+            analyze(optimize(plan, catalog), catalog)
             before = REGISTRY.counter("stats.adaptive.corrections").value
-            analyze(optimize(plan, catalog), catalog)
-            analyze(optimize(plan, catalog), catalog)
+            optimized = optimize(plan, catalog)
+            assert isinstance(optimized, ColumnarExec) == lowered
+            __, stats = analyze(optimized, catalog)
+            # Each corrected node of the tree counts once, lowered or not.
+            corrected = sum(1 for node in stats.walk() if node.corrected)
+            assert corrected == 1
             assert (
-                REGISTRY.counter("stats.adaptive.corrections").value > before
+                REGISTRY.counter("stats.adaptive.corrections").value
+                == before + corrected
             )
             corrections = [
                 e
