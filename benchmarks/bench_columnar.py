@@ -18,12 +18,22 @@ warm column, gate CI:
 * quick mode (the smoke job): columnar must not be slower than the row
   path at smoke scale — exit 1 otherwise;
 * full mode: columnar must be at least 10x faster at 10⁵ rows — the
-  ISSUE's acceptance bar, committed as ``BENCH_columnar.json``.
+  acceptance bar of the columnar engine, committed as
+  ``BENCH_columnar.json``.
+
+A third guard, in both modes, prices projection.  The perfbench
+engine_query workload's projected star query, ``π[Emp, Budget](emp ⋈
+σ[City = c](dept))`` over 20 departments, keeps ``Emp``, the key of
+``emp``, in every projection pushdown puts into it, so no projection
+can merge a row.  Warm and lowered, it is timed beside the same query
+without its projection, interleaved, as medians; the run exits 1 when
+the projected query costs more than 1.5x the unprojected one.
 
 Run:  pytest benchmarks/bench_columnar.py --benchmark-only
       python benchmarks/bench_columnar.py      (prints the E10 table)
 """
 
+import statistics
 import time
 
 import pytest
@@ -38,6 +48,10 @@ REPEATS = 3
 
 SIZES = [2000, 10_000]
 
+PROJECTION_DEPTS = 20  # engine_query's star catalog
+PROJECTION_REPEATS = 31
+PROJECTION_GATE = 1.5  # projected over unprojected, warm medians
+
 
 def star_query():
     return (
@@ -50,6 +64,15 @@ def star_query():
 
 def join_query():
     return scan("emp").join(scan("dept"))
+
+
+def city_query():
+    """engine_query's projected star query, before its projection."""
+    return scan("emp").join(scan("dept")).where(eq("City", "city0"))
+
+
+def projected_city_query():
+    return city_query().project(["Emp", "Budget"])
 
 
 def best_of(fn, repeats=REPEATS):
@@ -118,6 +141,42 @@ def test_paths_agree(size):
         assert lowered_plan(plan, catalog).execute(catalog) == row
 
 
+def projection_cost(writer, size):
+    """Warm medians of the projected star query and of the same query
+    unprojected, interleaved; returns the gate failures."""
+    catalog = Catalog(star_catalog(size, n_depts=PROJECTION_DEPTS))
+    cases = (
+        ("unprojected", lowered_plan(city_query(), catalog)),
+        ("projected", lowered_plan(projected_city_query(), catalog)),
+    )
+    results = {name: plan.execute(catalog) for name, plan in cases}
+    assert results["projected"] == results["unprojected"].project(
+        ["Emp", "Budget"]
+    )
+    samples = {name: [] for name, __ in cases}
+    for __ in range(PROJECTION_REPEATS):  # interleaved: drift hits both
+        for name, plan in cases:
+            started = time.perf_counter()
+            len(plan.execute(catalog))
+            samples[name].append(time.perf_counter() - started)
+    medians = {}
+    for name, times in samples.items():
+        q1, medians[name], q3 = statistics.quantiles(times, n=4)
+        writer.record(
+            "columnar_%s_city" % name, size, medians[name],
+            q1=q1, q3=q3, repeats=PROJECTION_REPEATS,
+        )
+    ratio = medians["projected"] / medians["unprojected"]
+    print("%-8d %16.6f %16.6f %9.2fx" % (
+        size, medians["unprojected"], medians["projected"], ratio))
+    if ratio > PROJECTION_GATE:
+        return [
+            "projected star query costs %.2fx the unprojected one at"
+            " n=%d (gate %.1fx)" % (ratio, size, PROJECTION_GATE)
+        ]
+    return []
+
+
 def main():
     try:
         from benchmarks._results import ResultsWriter, quick_requested
@@ -177,6 +236,14 @@ def main():
                     "columnar %s speedup %.1fx below the 10x bar at n=%d"
                     % (name, speedup, size)
                 )
+
+    print("\nprojection — warm columnar π[Emp, Budget](emp ⋈ σ[City = c]"
+          "(dept)), %d depts, median of %d (gate %.1fx)"
+          % (PROJECTION_DEPTS, PROJECTION_REPEATS, PROJECTION_GATE))
+    print("%-8s %16s %16s %10s"
+          % ("emps", "unprojected(s)", "projected(s)", "ratio"))
+    for size in sizes if quick else (2000,) + sizes:
+        failures.extend(projection_cost(writer, size))
 
     print("\nEXPLAIN ANALYZE of the lowered star query:")
     catalog = Catalog(star_catalog(sizes[-1], n_depts=n_depts))

@@ -21,6 +21,15 @@ whole arrays at a time:
   :func:`hash_join` sweep the arrays in :data:`BATCH_ROWS`-sized
   chunks inside C-speed list comprehensions; the chunk count is what
   ``EXPLAIN ANALYZE`` reports as ``batches=``;
+* **key-aware projection** — relations are sets, so a projection
+  merges the rows it collapses, but one that keeps a key collapses
+  none: each :class:`Column` knows whether it is unique, and
+  :func:`project` skips its dedup set when a kept column is.  A scanned
+  column counts its values at most once per relation object; a column
+  gathered through a row vector that repeats no row (a filter's
+  selection, the probe side of a unique-build join, one side of a
+  cross product with a one-row other side) inherits its source's
+  answer, and every other gathered column is not known unique;
 * **late materialization** — operator results stay columnar;
   :func:`to_flat` wraps the final columns in a
   :class:`ColumnarResult`, a :class:`~repro.core.flat.FlatRelation`
@@ -42,8 +51,8 @@ oracle by the Hypothesis suite in ``tests/core/test_columnar.py``
 
 Scan conversions are cached per relation *object* (``id``-keyed, with
 a weakref that evicts the entry when the relation is collected), so
-repeated queries over a bound catalog pay the row→column transpose
-once.
+repeated queries over a bound catalog pay the row→column transpose,
+and each column's uniqueness count, once.
 
 Metrics: ``columnar.batches`` and ``columnar.rows`` count kernel work
 (per operator, incremented by the plan walk),
@@ -55,6 +64,7 @@ planner) the adoption of the path.
 from __future__ import annotations
 
 import weakref
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.flat import FlatRelation
@@ -136,9 +146,15 @@ class Column:
     equivalence classes (``1``/``True``/``1.0`` share a code), which is
     exactly the equivalence ``frozenset`` rows already collapse under —
     so round-trips preserve relation equality.
+
+    Each column also answers :meth:`is_unique` under that same equality.
+    ``unique`` holds the answer once known, ``None`` when the column
+    counts its own values on first use (only :func:`from_flat` builds
+    such columns), or the source :class:`Column` a gather without
+    repeated rows inherits the answer from.
     """
 
-    __slots__ = ("_values", "codes", "domain", "_code_of")
+    __slots__ = ("_values", "codes", "domain", "_code_of", "_unique")
 
     def __init__(
         self,
@@ -146,11 +162,13 @@ class Column:
         codes: Optional[List[int]] = None,
         domain: Optional[list] = None,
         code_of: Optional[dict] = None,
+        unique=False,
     ):
         self._values = values
         self.codes = codes
         self.domain = domain
         self._code_of = code_of
+        self._unique = unique
 
     @property
     def is_encoded(self) -> bool:
@@ -172,6 +190,21 @@ class Column:
         except TypeError:  # unhashable operand can't be in the domain
             return None
 
+    def is_unique(self) -> bool:
+        """Whether no two rows hold ``==``-equal values (cached).
+
+        A scanned column whose sampled values did not already repeat
+        counts its values once, through a set.  ``False`` means "not
+        known unique" for a gathered column that inherited nothing.
+        """
+        unique = self._unique
+        if unique is None:
+            values = self._values
+            unique = self._unique = len(set(values)) == len(values)
+        elif isinstance(unique, Column):
+            unique = self._unique = unique.is_unique()
+        return unique
+
 
 def _encode_column(values: list) -> Column:
     code_of: dict = {}
@@ -191,9 +224,12 @@ def _encode_column(values: list) -> Column:
 
 def _build_column(values: list) -> Column:
     sample = values[:_ENCODE_SAMPLE]
-    if len(sample) >= _ENCODE_SAMPLE and len(set(sample)) * 2 <= len(sample):
+    distinct = len(set(sample))
+    if len(sample) >= _ENCODE_SAMPLE and distinct * 2 <= len(sample):
         return _encode_column(values)
-    return Column(values=values)
+    # A repeat among the sampled values already answers is_unique.
+    unique = None if distinct == len(sample) else False
+    return Column(values=values, unique=unique)
 
 
 class ColumnarRelation:
@@ -223,13 +259,11 @@ class ColumnarRelation:
 def from_flat(flat: FlatRelation) -> ColumnarRelation:
     """Transpose a flat relation into columns (no cache; see :func:`scan`)."""
     schema = flat.schema
-    rows = flat.rows
-    if not rows:
-        return ColumnarRelation(
-            schema, tuple(Column(values=[]) for _ in schema), 0
-        )
-    transposed = list(zip(*rows))
-    columns = tuple(_build_column(list(col)) for col in transposed)
+    rows = list(flat.rows)
+    columns = tuple(
+        _build_column(list(map(itemgetter(i), rows)))
+        for i in range(len(schema))
+    )
     return ColumnarRelation(schema, columns, len(rows))
 
 
@@ -383,7 +417,10 @@ def project(
 
     Dropping attributes can collapse distinct rows, so the gathered
     columns are deduplicated through one set of row tuples — the same
-    set semantics the row path's ``FlatRelation.project`` applies.
+    set semantics the row path's ``FlatRelation.project`` applies.  A
+    projection that keeps a unique column (a key) or at most one row
+    can collapse none: it skips the set and returns the kept columns
+    gathered through ``sel``, dictionary encoding and all.
     """
     wanted = tuple(attributes)
     count = _effective_count(rel, sel)
@@ -393,15 +430,16 @@ def project(
         # any row exists (the row path's set semantics).
         nrows = 1 if count else 0
         return ColumnarRelation((), (), nrows), batches
-    gathered = [_gather(rel.column(a).values(), sel) for a in wanted]
-    rows = set(zip(*gathered))
-    if len(rows) == count:
-        # No collapse: the gathered columns are already the answer.
-        columns = tuple(Column(values=col if isinstance(col, list) else list(col)) for col in gathered)
-        return ColumnarRelation(wanted, columns, count), batches
-    deduped = list(rows)
-    columns = tuple(Column(values=list(col)) for col in zip(*deduped))
-    return ColumnarRelation(wanted, columns, len(deduped)), batches
+    kept = [rel.column(a) for a in wanted]
+    if count > 1 and not any(column.is_unique() for column in kept):
+        rows = set(zip(*(_gather(column.values(), sel) for column in kept)))
+        if len(rows) < count:
+            deduped = list(rows)
+            columns = tuple(Column(values=list(col)) for col in zip(*deduped))
+            return ColumnarRelation(wanted, columns, len(deduped)), batches
+    # No row collapsed: the kept columns are already the answer.
+    columns = tuple(_gather_column(column, sel, True) for column in kept)
+    return ColumnarRelation(wanted, columns, count), batches
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +475,9 @@ def hash_join(
             left_count, left_sel, right_count, right_sel
         )
         out_rows = len(left_rows) if left_rows is not None else left_count
+        # A side's rows repeat once per row of the other side.
+        left_distinct = right_count <= 1
+        right_distinct = left_count <= 1
     else:
         # Build on the smaller side (fewer dict inserts), probe the rest.
         if right_count <= left_count:
@@ -445,38 +486,53 @@ def hash_join(
         else:
             build, build_sel, probe, probe_sel = left, left_sel, right, right_sel
             build_is_left = True
-        build_rows, probe_rows = _hash_probe(
+        build_rows, probe_rows, unique_build = _hash_probe(
             build, build_sel, probe, probe_sel, common
         )
+        # Build rows repeat once per matching probe row; probe rows
+        # repeat only when a key has several build rows.
         if build_is_left:
             left_rows, right_rows = build_rows, probe_rows
+            left_distinct, right_distinct = False, unique_build
         else:
             left_rows, right_rows = probe_rows, build_rows
+            left_distinct, right_distinct = unique_build, False
         out_rows = len(left_rows) if left_rows is not None else left_count
         _metrics.REGISTRY.counter("flat.join.pairs_tried").inc(out_rows)
         _metrics.REGISTRY.counter("flat.join.pairs_pruned").inc(
             left_count * right_count - out_rows
         )
-    columns = []
-    for position, _attribute in enumerate(left.schema):
-        columns.append(_gather_column(left.columns[position], left_rows))
-    rest_positions = [
-        i for i, a in enumerate(right.schema) if a not in common
+    columns = [
+        _gather_column(column, left_rows, left_distinct)
+        for column in left.columns
     ]
-    for position in rest_positions:
-        columns.append(_gather_column(right.columns[position], right_rows))
+    for attribute, column in zip(right.schema, right.columns):
+        if attribute not in common:
+            columns.append(_gather_column(column, right_rows, right_distinct))
     return ColumnarRelation(result_schema, tuple(columns), out_rows), batches
 
 
-def _gather_column(column: Column, rows: Sel) -> Column:
-    """Gather ``rows`` of ``column``; ``None`` passes it through as-is."""
+def _gather_column(column: Column, rows: Sel, distinct: bool) -> Column:
+    """Gather ``rows`` of ``column``; ``None`` passes it through as-is.
+
+    ``distinct`` says that no row repeats in ``rows``, so the gathered
+    column inherits the source's :meth:`Column.is_unique` answer;
+    otherwise it is not known unique.
+    """
     if rows is None:
         return column
+    unique = False
+    if distinct:
+        unique = column._unique
+        if unique is None:
+            unique = column  # not counted yet: ask the source when needed
     if column.is_encoded:
         codes = column.codes
-        return Column(codes=[codes[i] for i in rows], domain=column.domain)
+        return Column(
+            codes=[codes[i] for i in rows], domain=column.domain, unique=unique
+        )
     values = column._values
-    return Column(values=[values[i] for i in rows])
+    return Column(values=[values[i] for i in rows], unique=unique)
 
 
 def _key_arrays(
@@ -495,8 +551,9 @@ def _hash_probe(
     probe: ColumnarRelation,
     probe_sel: Sel,
     common: List[str],
-) -> Tuple[Sel, Sel]:
-    """Row vectors ``(build_rows, probe_rows)`` of the matching pairs.
+) -> Tuple[Sel, Sel, bool]:
+    """Row vectors ``(build_rows, probe_rows)`` of the matching pairs,
+    and whether the build side's keys were unique.
 
     Either vector may come back ``None`` — the identity — when the
     side's rows all participate exactly once in input order.
@@ -553,7 +610,7 @@ def _hash_probe(
         build_rows = None  # identity: all build rows, in order
     else:
         build_rows = build_positions
-    return build_rows, probe_rows
+    return build_rows, probe_rows, unique
 
 
 def _cross_rows(
@@ -591,8 +648,8 @@ class ColumnarResult(FlatRelation):
 
     Every kernel's output is distinct by construction (scans read sets,
     filters drop rows, joins of distinct inputs pair distinct row
-    fragments, projections dedup), so ``len`` can trust ``nrows``
-    without building the set.
+    fragments, projections dedup unless a kept column is a key), so
+    ``len`` can trust ``nrows`` without building the set.
     """
 
     __slots__ = ("_columns", "_nrows")
@@ -623,5 +680,5 @@ def to_flat(rel: ColumnarRelation, sel: Sel) -> FlatRelation:
     """Wrap a kernel result as a (lazily materialized) flat relation."""
     if sel is None:
         return ColumnarResult(rel.schema, rel.columns, rel.nrows)
-    columns = tuple(_gather_column(c, sel) for c in rel.columns)
+    columns = tuple(_gather_column(c, sel, True) for c in rel.columns)
     return ColumnarResult(rel.schema, columns, len(sel))

@@ -1052,16 +1052,19 @@ class _Run:
     lowered subtree its ``_apply`` walked.  ``bookkeeping`` sums the
     seconds spent accounting for finished nodes, which no node's time
     includes.  ``analyzing`` adds what :func:`analyze` records per node
-    (see :func:`_observe`) and leaves the nodes untraced.
+    (see :func:`_observe`) and leaves the nodes untraced; ``observed``
+    keeps those nodes, in the order they finished, for the feedback
+    :func:`analyze` records once the walk is done.
     """
 
-    __slots__ = ("analyzing", "tracer", "finished", "bookkeeping")
+    __slots__ = ("analyzing", "tracer", "finished", "bookkeeping", "observed")
 
     def __init__(self, analyzing: bool):
         self.analyzing = analyzing
         self.tracer = _UNTRACED if analyzing else _trace.CURRENT
         self.finished: List[NodeStats] = []
         self.bookkeeping = 0.0
+        self.observed: List[Tuple[Plan, NodeStats]] = []
 
 
 def _walk(
@@ -1155,6 +1158,7 @@ def _walk(
         )
     if run.analyzing:
         _observe(plan, stats, catalog)
+        run.observed.append((plan, stats))
     finished.append(stats)
     run.bookkeeping += time.perf_counter() - stopped
     return out
@@ -1178,8 +1182,10 @@ def _observe(plan: Plan, stats: NodeStats, catalog) -> None:
     """What :func:`analyze` records for one measured node.
 
     The ``query.*`` metrics, the optimizer's estimate beside the actual
-    rows, the adaptive-correction counter and event, the drift
-    accounting, and the feedback that trains the next run's estimate.
+    rows, the adaptive-correction counter and event, and the drift
+    accounting.  The feedback that trains the next run's estimate waits
+    for the end of the walk, so no node's estimate includes this run's
+    feedback.
     """
     registry = _metrics.REGISTRY
     registry.counter("query.nodes").inc()
@@ -1209,7 +1215,6 @@ def _observe(plan: Plan, stats: NodeStats, catalog) -> None:
     registry.histogram("query.estimate.drift").observe(stats.drift_ratio)
     if stats.drift_ratio > 2.0:
         registry.counter("query.estimate.misses").inc()
-    _record_feedback(plan, stats, catalog)
 
 
 def analyze(plan: Plan, catalog) -> Tuple[FlatRelation, NodeStats]:
@@ -1227,6 +1232,8 @@ def analyze(plan: Plan, catalog) -> Tuple[FlatRelation, NodeStats]:
     """
     run = _Run(analyzing=True)
     result = _walk(plan, catalog, run)
+    for node, stats in run.observed:
+        _record_feedback(node, stats, catalog)
     return result, run.finished[0]
 
 

@@ -8,11 +8,16 @@ Two layers of pinning:
   vectors, and dictionary-encoded string columns;
 * plan level — ``optimize`` with the columnar switch on produces a
   ``ColumnarExec`` whose result equals the row plan's, with the cost
-  threshold, the per-Catalog escape hatch, and the default-off switch
-  each checked separately.
+  threshold and the default-off switch each checked separately.
+
+Projections skip their dedup when a kept column is unique, so the
+rules for which gathered columns inherit uniqueness are pinned on
+joins of keyed relations, comparing the row count as well as the rows
+(equal frozensets would hide a duplicated row).
 """
 
 import contextlib
+import itertools
 import operator
 
 import pytest
@@ -54,6 +59,8 @@ ATOMS = st.one_of(
     st.booleans(),
 )
 INTS = st.integers(min_value=-3, max_value=3)
+OPERATORS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def relations(schema, elements=ATOMS, max_rows=30):
@@ -116,8 +123,7 @@ def test_filter_eq_matches_oracle(flat, op, operand):
     INTS,
 )
 def test_filter_order_matches_oracle(flat, op, operand):
-    fn = {"<": operator.lt, "<=": operator.le,
-          ">": operator.gt, ">=": operator.ge}[op]
+    fn = OPERATORS[op]
     rel = from_flat(flat)
     sel, __ = filter_sel(rel, None, op, "K", operand)
     want = [row for row in rows_of(rel, None) if fn(row[0], operand)]
@@ -224,6 +230,137 @@ def test_unknown_attribute_raises():
     rel = from_flat(FlatRelation(("K",), [(1,)]))
     with pytest.raises(RelationError):
         rel.column("missing")
+
+
+# ------------------------------------------------------ key-aware project
+
+
+# The attributes two keyed relations share.
+SHARED = [(), ("J",), ("K",), ("M",), ("J", "K"), ("J", "M"), ("K", "M")]
+
+
+@st.composite
+def keyed_relations(draw, key, shared, payload):
+    """A relation whose ``key`` column is unique, beside the ``shared``
+    join columns — a low-cardinality ``J`` or a foreign key into the
+    other side's key — and maybe a ``payload`` column, all over a
+    domain small enough that one value matches several rows."""
+    schema = (key,) + shared + ((payload,) if draw(st.booleans()) else ())
+    keys = draw(st.lists(st.integers(0, 7), unique=True, min_size=1))
+    small = st.integers(0, 2)
+    rows = [(k,) + tuple(draw(small) for __ in schema[1:]) for k in keys]
+    return FlatRelation(schema, rows)
+
+
+def filtered(data, flat, rel):
+    """Maybe filter ``rel`` (the columnar form of ``flat``) on a drawn
+    predicate; returns the selection and the row oracle's relation."""
+    if data.draw(st.integers(0, 2)):
+        return None, flat
+    attribute = data.draw(st.sampled_from(flat.schema))
+    op = data.draw(st.sampled_from(sorted(OPERATORS)))
+    operand = data.draw(st.integers(0, 3))
+    sel, __ = filter_sel(rel, None, op, attribute, operand)
+    test = OPERATORS[op]
+    return sel, flat.select(lambda row: test(row[attribute], operand))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_keyed_join_projections_match_oracle(data):
+    """Every projection of a join of keyed relations has the row
+    oracle's rows and row count.  Build rows repeat, probe rows repeat
+    under a non-unique build, and a cross product repeats each side
+    once per row of the other, so a key gathered through any of these
+    must not let a projection skip its dedup."""
+    # "K" keys the left input and "M" the right; sharing one of them
+    # joins a key with a foreign key, and sharing none is a cross product.
+    shared = data.draw(st.sampled_from(SHARED))
+    left = data.draw(
+        keyed_relations("K", tuple(a for a in shared if a != "K"), "A")
+    )
+    right = data.draw(
+        keyed_relations("M", tuple(a for a in shared if a != "M"), "B")
+    )
+    if data.draw(st.booleans()):
+        left, right = right, left
+    c_left, c_right = from_flat(left), from_flat(right)
+    left_sel, left = filtered(data, left, c_left)
+    right_sel, right = filtered(data, right, c_right)
+    joined, __ = hash_join(c_left, left_sel, c_right, right_sel)
+    expected = left.natural_join(right)
+    assert joined.nrows == len(expected)
+    # No gathered column counts its own values: each one knows its
+    # answer or the source it inherits from.
+    sources = c_left.columns + c_right.columns
+    for column in joined.columns:
+        assert column._unique is not None or any(
+            column is source for source in sources
+        )
+    sel, expected = filtered(data, expected, joined)
+    for size in range(len(joined.schema) + 1):
+        for kept in itertools.combinations(joined.schema, size):
+            out, __ = project(joined, sel, kept)
+            want = expected.project(kept)
+            assert out.nrows == len(want), kept
+            assert to_flat(out, None) == want, kept
+
+
+def test_key_projection_returns_its_input_columns():
+    rel = from_flat(FlatRelation(("K", "A"), [(i, i % 2) for i in range(10)]))
+    out, __ = project(rel, None, ["A", "K"])
+    assert out.nrows == 10
+    assert out.columns[0] is rel.column("A")
+    assert out.columns[1] is rel.column("K")
+
+
+def test_key_projection_through_a_filter_keeps_encoding():
+    flat = FlatRelation(
+        ("K", "S"), [(i, "xyz"[i % 3]) for i in range(2 * BATCH_ROWS)]
+    )
+    rel = from_flat(flat)
+    assert rel.column("S").is_encoded
+    sel, __ = filter_sel(rel, None, "!=", "S", "x")
+    out, __ = project(rel, sel, ["S", "K"])
+    assert out.columns[0].is_encoded
+    assert out.nrows == len(sel)
+    assert to_flat(out, None) == flat.project(["S", "K"]).select(
+        lambda row: row["S"] != "x"
+    )
+
+
+def test_projection_keeping_a_repeated_build_side_key_collapses():
+    # dept is the smaller side, so it builds; each of its rows pairs
+    # with several emps, so its key Dept repeats in the join output.
+    dept = FlatRelation(("Dept", "City"), [("d0", "c0"), ("d1", "c1")])
+    emp = FlatRelation(
+        ("Emp", "Dept"), [(i, "d%d" % (i % 2)) for i in range(6)]
+    )
+    c_dept = from_flat(dept)
+    assert c_dept.column("Dept").is_unique()
+    joined, __ = hash_join(c_dept, None, from_flat(emp), None)
+    assert joined.nrows == 6
+    for kept in (["Dept"], ["City"], ["Dept", "City"]):
+        out, __ = project(joined, None, kept)
+        assert out.nrows == 2, kept
+        assert to_flat(out, None) == dept.project(kept), kept
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1, 1.0], [1, True], [0.0, -0.0]],
+    ids=["int-float", "int-bool", "signed-zero"],
+)
+def test_uniqueness_is_the_row_sets_equality(values):
+    """Values equal under ``==`` are one value to the row frozenset, so
+    a column holding two of them is not unique and its projection
+    collapses them, as the row path does."""
+    flat = FlatRelation(("K", "A"), list(zip(values, ["a", "b"])))
+    rel = from_flat(flat)
+    assert not rel.column("K").is_unique()
+    assert rel.column("A").is_unique()
+    out, __ = project(rel, None, ["K"])
+    assert out.nrows == len(flat.project(["K"])) == 1
 
 
 # ------------------------------------------------- dictionary encoding

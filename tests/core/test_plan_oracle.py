@@ -12,9 +12,11 @@ relational algebra.
 Relations hold 0–80 rows over int and str columns, each attribute with
 one type across the catalog so every predicate compares like with
 like.  Some relations have 64 rows or more and a low-cardinality
-column, which is where the columnar scan dictionary-encodes.  Plans
-use all seven predicate operators, joins with and without shared
-attributes, and projections that collapse rows.
+column, which is where the columnar scan dictionary-encodes.  Some
+carry a unique id column "I", whose values other relations' "I"
+columns share, so joins pair keys with foreign keys and projections
+may keep a key.  Plans use all seven predicate operators, joins with
+and without shared attributes, and projections that collapse rows.
 """
 
 import pytest
@@ -35,6 +37,7 @@ DOMAINS = {
     "C": [-2, -1, 0, 1, 2],
     "D": ["x", "y", "z"],
     "E": ["p", "q"],
+    "I": list(range(12)),
 }
 LOW_CARDINALITY = ("B", "C", "D", "E")
 NAMES = ("r", "s", "t")
@@ -69,6 +72,12 @@ def relations(draw):
             max_size=80,
         )
     )
+    if "I" not in schema and draw(st.booleans()):
+        # A unique id beside the drawn columns, from the "I" domain
+        # while the rows fit in it, so other relations' ids match.
+        ids = draw(st.permutations(range(max(len(rows), len(DOMAINS["I"])))))
+        schema = ("I",) + schema
+        rows = [(i,) + row for i, row in zip(ids, rows)]
     return FlatRelation(schema, rows)
 
 

@@ -247,6 +247,27 @@ class TestFeedbackLoop:
         finally:
             _events.disable()
 
+    @pytest.mark.parametrize("lowered", [False, True], ids=["row", "lowered"])
+    def test_estimates_predate_this_runs_feedback(self, lowered):
+        # A projection's estimate is its child's.  Within one analyze
+        # that holds although the selection below it was observed
+        # first: the run's feedback moves the next run, not this one.
+        adaptive.enable()
+        if lowered:
+            columnar.enable()
+        catalog = Catalog({"orders": skewed_orders(400)})
+        plan = scan("orders").where(eq("Status", "failed")).project(
+            ["Order", "Status"]
+        )
+        optimized = optimize(plan, catalog)
+        assert isinstance(optimized, ColumnarExec) == lowered
+        __, stats = analyze(optimized, catalog)
+        projects = [n for n in stats.walk() if "Project[" in n.label]
+        assert len(projects) == 2
+        for node in projects:
+            (child,) = node.children
+            assert node.estimate == pytest.approx(child.estimate), node.label
+
     def test_global_switch_off_means_static(self):
         catalog = Catalog({"orders": skewed_orders(400)})
         plan = scan("orders").where(eq("Status", "failed"))
