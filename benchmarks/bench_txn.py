@@ -11,14 +11,17 @@ real TCP frames:
 * **reads under a writer** — 16 reader clients hammer ``intern`` on a
   seeded handle while one background writer commits ``extern`` after
   ``extern`` (each autocommit is an atomic batch + fsync on the log).
-  The same workload runs twice: against a server pinned to ``workers=1``
-  (the pre-MVCC stance) and against the pooled default.  Every reply is
-  checked.  The pooled run must beat the serialized run — that is the
-  point of the PR — and in ``--quick`` mode that comparison is a hard
-  gate (exit 1 when pooled <= serialized);
-* **pure reads** — the same 16 clients with no writer, both modes, for
-  reference (CPython's interpreter lock bounds the gap here; the win
-  comes from overlapping reads with the writer's I/O stalls);
+  The same workload runs against a server pinned to ``workers=1`` (the
+  pre-MVCC stance) and against the pooled default, in
+  :data:`PAIRS` alternating serialized/pooled pairs, so drift on a
+  noisy host hits both modes alike.  Every reply is checked.  The
+  pooled median must beat the serialized median — the point of a
+  worker pool — and that comparison is a hard gate (exit 1 when the
+  pooled median <= the serialized median); each mode's median and
+  interquartile range go to the JSON;
+* **pure reads** — the same 16 clients with no writer, both modes, once,
+  for reference (CPython's interpreter lock bounds the gap here; the
+  win comes from overlapping reads with the writer's I/O stalls);
 * **conflict discipline** — racing increment transactions over one
   handle: every attempt either commits or raises the retryable
   ``TransactionConflictError``, and the final counter must equal the
@@ -34,9 +37,9 @@ real TCP frames:
   either series, or if any version chain is left once no transaction
   is open.
 
-Artifacts: ``BENCH_txn.json`` (qps per mode, conflict tallies, put cost
-per N and the chains left, the ``txn.*`` metric snapshot) and
-``BENCH_txn.trace.json``.
+Artifacts: ``BENCH_txn.json`` (qps per mode and run, each mode's median
+and IQR, conflict tallies, put cost per N and the chains left, the
+``txn.*`` metric snapshot) and ``BENCH_txn.trace.json``.
 
 Run:  python benchmarks/bench_txn.py [--quick]
 """
@@ -59,6 +62,7 @@ from repro.persistence.mvcc import TransactionManager
 from repro.server import Client, ServerThread
 
 READERS = 16
+PAIRS = 5  # alternating serialized/pooled runs of the read-under-writer phase
 WRITE_VALUE = 41
 PUT_COST_SIZES = (10, 1000, 10000)
 PUT_COST_GATE = 3.0  # largest N over N = 10, per series
@@ -151,13 +155,15 @@ def read_phase(server, queries, with_writer):
     return elapsed, completed, commits, errors
 
 
-def measure_mode(label, workers, queries, store_dir, writer, failures):
-    """Both read phases against one server configuration; returns the
-    reads-under-writer qps (the headline number)."""
-    store = os.path.join(store_dir, "bench-%s.log" % label)
+def measure_mode(label, workers, queries, store_dir, writer, failures, run):
+    """The read phases against one fresh server configuration; returns
+    the reads-under-writer qps (the headline number).  Only run 0 also
+    measures pure reads."""
+    store = os.path.join(store_dir, "bench-%s-%d.log" % (label, run))
+    phases = (("pure", False),) if run == 0 else ()
     results = {}
     with ServerThread(store=store, limit=READERS + 2, workers=workers) as server:
-        for phase, with_writer in (("pure", False), ("under_writer", True)):
+        for phase, with_writer in phases + (("under_writer", True),):
             elapsed, completed, commits, errors = read_phase(
                 server, queries, with_writer
             )
@@ -169,6 +175,7 @@ def measure_mode(label, workers, queries, store_dir, writer, failures):
                 completed,
                 elapsed,
                 clients=READERS,
+                run=run,
                 workers=server.server.broker.workers,
                 qps=round(qps, 1),
                 writer_commits=commits,
@@ -181,9 +188,16 @@ def measure_mode(label, workers, queries, store_dir, writer, failures):
                     "%s/%s: %d of %d reads completed"
                     % (label, phase, completed, expected)
                 )
-            print("%-12s %-14s %10d %12.4f %10.0f %9d %8d" % (
-                label, phase, completed, elapsed, qps, commits, len(errors)))
+            print("%-12s %-14s %3d %10d %12.4f %10.0f %9d %8d" % (
+                label, phase, run, completed, elapsed, qps, commits,
+                len(errors)))
     return results["under_writer"]
+
+
+def median_and_iqr(samples):
+    """The median and the interquartile range of ``samples``."""
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return median, q3 - q1
 
 
 def conflict_phase(writer, attempts, failures):
@@ -319,29 +333,40 @@ def main():
     try:
         print("read throughput, %d clients x %d checked reads"
               % (READERS, queries))
-        print("%-12s %-14s %10s %12s %10s %9s %8s" % (
-            "mode", "phase", "reads", "seconds", "qps", "commits", "errors"))
-        serialized = measure_mode(
-            "serialized", 1, queries, store_dir, writer, failures
-        )
-        pooled = measure_mode(
-            "pooled", None, queries, store_dir, writer, failures
-        )
+        print("%-12s %-14s %3s %10s %12s %10s %9s %8s" % (
+            "mode", "phase", "run", "reads", "seconds", "qps", "commits",
+            "errors"))
+        runs = {"serialized": [], "pooled": []}
+        for run in range(PAIRS):
+            for label, workers in (("serialized", 1), ("pooled", None)):
+                runs[label].append(measure_mode(
+                    label, workers, queries, store_dir, writer, failures, run
+                ))
+        serialized, serialized_iqr = median_and_iqr(runs["serialized"])
+        pooled, pooled_iqr = median_and_iqr(runs["pooled"])
         speedup = pooled / serialized if serialized else 0.0
+        won = sum(p > s for p, s in zip(runs["pooled"], runs["serialized"]))
         writer.record(
             "pooled_vs_serialized",
             READERS * queries,
             0.0,
+            pairs=PAIRS,
+            pooled_won_pairs=won,
             speedup=round(speedup, 3),
-            serialized_qps=round(serialized, 1),
-            pooled_qps=round(pooled, 1),
+            serialized_median_qps=round(serialized, 1),
+            serialized_iqr_qps=round(serialized_iqr, 1),
+            pooled_median_qps=round(pooled, 1),
+            pooled_iqr_qps=round(pooled_iqr, 1),
         )
-        print("\nreads under a committing writer: pooled %.0f qps vs "
-              "serialized %.0f qps (%.2fx)" % (pooled, serialized, speedup))
+        print("\nreads under a committing writer, medians of %d alternating"
+              " pairs: pooled %.0f qps (IQR %.0f) vs serialized %.0f qps"
+              " (IQR %.0f): %.2fx, pooled ahead in %d of %d pairs"
+              % (PAIRS, pooled, pooled_iqr, serialized, serialized_iqr,
+                 speedup, won, PAIRS))
         if pooled <= serialized:
             failures.append(
-                "pooled read throughput (%.0f qps) did not beat the"
-                " serialized worker (%.0f qps)" % (pooled, serialized)
+                "pooled median read throughput (%.0f qps) did not beat the"
+                " serialized worker's median (%.0f qps)" % (pooled, serialized)
             )
 
         conflict_phase(writer, attempts, failures)

@@ -16,9 +16,9 @@ own material:
    model's measured selectivities close the estimate drift step 3
    exposed;
 5. turns on the event journal and profiler, replays the paper's update
-   anomaly through two replicating store fronts — the flight recorder
-   catches the divergent re-intern as a WARN event — and prints the
-   per-operator profile;
+   anomaly between two DBPL interpreters on one extern namespace — the
+   flight recorder catches the divergent re-intern as a WARN event —
+   and prints the per-operator profile;
 6. exports the whole session (spans, journal, metrics) as a
    Chrome/Perfetto trace file and re-reads it, proving the span tree
    round-trips.
@@ -34,10 +34,9 @@ from repro.core.index import Catalog
 from repro.core.query import eq, explain_analyze, optimize, scan
 from repro.core.relation import join_with_fastpath
 from repro.lang import run_program
+from repro.lang.eval import Interpreter
 from repro.obs import events, export, metrics, profile, trace
-from repro.persistence.replicating import ReplicatingStore
-from repro.persistence.store import LogStore
-from repro.types.dynamic import dynamic
+from repro.persistence.mvcc import TransactionManager
 
 from figure1_join import DBPL_VERSION, R1, R2
 
@@ -124,16 +123,16 @@ def main():
     events.enable()
     profiler = profile.enable()
     with tempfile.TemporaryDirectory() as tmp:
-        # The paper's update anomaly, caught live: two replicating store
-        # fronts share one log; a re-intern that finds the value changed
-        # behind its back is journaled as a WARN.
-        shared = LogStore(os.path.join(tmp, "shared.log"))
-        mine = ReplicatingStore(shared)
-        theirs = ReplicatingStore(shared)
-        mine.extern("doc", dynamic("original"))
-        mine.intern("doc")
-        theirs.extern("doc", dynamic("changed elsewhere"))
-        mine.intern("doc")  # divergent: WARN divergent_reintern
+        # The paper's update anomaly, caught live: two interpreters
+        # share one extern namespace on a log; a re-intern that finds
+        # the value changed behind its back is journaled as a WARN.
+        shared = TransactionManager(os.path.join(tmp, "shared.log"))
+        mine, theirs = Interpreter(shared), Interpreter(shared)
+        mine.run('extern("doc", dynamic "original");')
+        mine.run('coerce intern("doc") to String')
+        theirs.run('extern("doc", dynamic "changed elsewhere");')
+        # divergent: WARN divergent_reintern
+        mine.run('coerce intern("doc") to String')
         shared.close()
 
         # Re-run the optimized query with the profiler attributing wall

@@ -128,25 +128,12 @@ class RollUpResult:
 
 
 def roll_up_naive(part: PObject, roll_up: RollUp = TOTAL_COST) -> RollUpResult:
-    """The paper's recursive program, verbatim: no memoization.
+    """The paper's recursive program: no memoization.
 
     On a DAG explosion the visit count grows with the number of *paths*,
     not the number of parts — exponential in the worst case.
     """
-    visits = 0
-
-    def walk(p: PObject) -> float:
-        nonlocal visits
-        visits += 1
-        if p["IsBase"]:
-            return roll_up.base_value(p)
-        total = roll_up.own_value(p)
-        for sub_part, qty in components_of(p):
-            total += walk(sub_part) * qty
-        return total
-
-    value = walk(part)
-    return RollUpResult(value, visits)
+    return _roll_up(part, roll_up, None)
 
 
 def roll_up_memoized(part: PObject, roll_up: RollUp = TOTAL_COST) -> RollUpResult:
@@ -157,29 +144,46 @@ def roll_up_memoized(part: PObject, roll_up: RollUp = TOTAL_COST) -> RollUpResul
     to persist", and a commit after this run confirms it writes nothing
     extra.  Visits are bounded by the number of distinct parts.
     """
+    return _roll_up(part, roll_up, roll_up.memo_field)
+
+
+def _roll_up(part: PObject, roll_up: RollUp, field) -> RollUpResult:
+    """The recursion on a stack of [part, running total, components left,
+    quantity in its parent] frames (the bottom one stands in for the
+    root's parent), memoizing in ``field`` unless it is ``None``.  Memos
+    are marked transient first, so no write stamp moves for them."""
+    base_value, own_value = roll_up.base_value, roll_up.own_value
     visits = 0
-    field = roll_up.memo_field
-
-    def walk(p: PObject) -> float:
-        nonlocal visits
-        if field in p:
-            return p[field]  # already computed for this part
-        visits += 1
-        if p["IsBase"]:
-            value = roll_up.base_value(p)
+    stack = [[None, 0.0, iter(((part, 1),)), 1]]
+    while True:
+        frame = stack[-1]
+        total = frame[1]
+        for sub_part, qty in frame[2]:
+            if field is not None and field in sub_part:
+                total += sub_part[field] * qty  # already computed
+                continue
+            visits += 1
+            if sub_part["IsBase"]:
+                value = base_value(sub_part)
+                if field is not None:
+                    sub_part.mark_transient(field)
+                    sub_part[field] = value
+                total += value * qty
+            else:
+                frame[1] = total
+                stack.append(
+                    [sub_part, own_value(sub_part),
+                     iter(components_of(sub_part)), qty]
+                )
+                break
         else:
-            value = roll_up.own_value(p)
-            for sub_part, qty in components_of(p):
-                value += walk(sub_part) * qty
-        # Mark first, then store: a write to a field already marked
-        # transient leaves the part's write stamp put, so a commit after
-        # the roll-up does not even re-encode the part.
-        p.mark_transient(field)
-        p[field] = value
-        return value
-
-    value = walk(part)
-    return RollUpResult(value, visits)
+            stack.pop()
+            if not stack:
+                return RollUpResult(total, visits)
+            if field is not None:
+                frame[0].mark_transient(field)
+                frame[0][field] = total
+            stack[-1][1] += total * frame[3]
 
 
 def clear_memos(part: PObject, roll_up: RollUp = TOTAL_COST) -> int:
@@ -213,18 +217,13 @@ def total_mass(part: PObject) -> float:
 
 
 def _all_parts(part: PObject) -> List[PObject]:
-    seen: Set[int] = set()
-    order: List[PObject] = []
-
-    def walk(p: PObject) -> None:
-        if id(p) in seen:
-            return
-        seen.add(id(p))
-        order.append(p)
+    seen: Set[int] = {id(part)}
+    order: List[PObject] = [part]
+    for p in order:  # grows as the walk finds parts
         for sub_part, __ in components_of(p):
-            walk(sub_part)
-
-    walk(part)
+            if id(sub_part) not in seen:
+                seen.add(id(sub_part))
+                order.append(sub_part)
     return order
 
 
@@ -240,14 +239,11 @@ def is_tree_explosion(part: PObject) -> bool:
     memo buys nothing — the paper's distinction between tree and DAG.
     """
     seen: Set[int] = set()
-
-    def walk(p: PObject) -> bool:
-        for sub_part, __ in components_of(p):
+    stack = [part]
+    while stack:
+        for sub_part, __ in components_of(stack.pop()):
             if id(sub_part) in seen:
                 return False
             seen.add(id(sub_part))
-            if not walk(sub_part):
-                return False
-        return True
-
-    return walk(part)
+            stack.append(sub_part)
+    return True

@@ -64,7 +64,6 @@ planner) the adoption of the path.
 from __future__ import annotations
 
 import weakref
-from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.flat import FlatRelation
@@ -258,13 +257,8 @@ class ColumnarRelation:
 
 def from_flat(flat: FlatRelation) -> ColumnarRelation:
     """Transpose a flat relation into columns (no cache; see :func:`scan`)."""
-    schema = flat.schema
-    rows = list(flat.rows)
-    columns = tuple(
-        _build_column(list(map(itemgetter(i), rows)))
-        for i in range(len(schema))
-    )
-    return ColumnarRelation(schema, columns, len(rows))
+    columns = tuple(_build_column(values) for values in flat.columns())
+    return ColumnarRelation(flat.schema, columns, len(flat.rows))
 
 
 # Conversion cache: id(flat) → (weakref-to-flat, its columnar form).

@@ -23,12 +23,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.orders import Atom, PartialRecord
 from repro.core.relation import GeneralizedRelation
-from repro.errors import (
-    EvalError,
-    NotAValueError,
-    TransactionError,
-    TypeSystemError,
-)
+from repro.errors import EvalError, NotAValueError, TypeSystemError
 from repro.extents.database import Database
 from repro.lang import ast
 from repro.lang.checker import CheckEnv, check_program, resolve_type
@@ -36,7 +31,8 @@ from repro.lang.parser import parse_program
 from repro.obs import metrics as _metrics
 from repro.obs import slowlog as _slowlog
 from repro.obs import trace as _trace
-from repro.persistence.mvcc import SessionTransaction, TransactionManager
+from repro.persistence.mvcc import TransactionManager
+from repro.persistence.replicating import ReplicatingStore
 from repro.persistence.serialize import deserialize, serialize, stored_type
 from repro.persistence.store import LogStore
 from repro.types.dynamic import Dynamic
@@ -392,46 +388,25 @@ class RunResult:
 class Interpreter:
     """A DBPL session: checked declarations accumulate across ``run`` calls.
 
-    ``store`` (a path or :class:`LogStore`) backs ``extern``/``intern``;
-    without one, an in-memory store is used — still with full replication
-    semantics, since values round-trip through the serializer either way.
-    Passing a shared ``memory_store`` dict (or a shared :class:`LogStore`)
-    lets several interpreters — the server's per-connection sessions —
-    see one persistent extent while keeping their bindings private.
-    ``session_id`` labels this interpreter in multi-session observability
-    (per-session journal tags, the server's ``stat`` frames).
+    ``store`` is the extern namespace: a shared
+    :class:`~repro.persistence.mvcc.TransactionManager` (as the server's
+    sessions share the broker's), a path or :class:`LogStore` to open one
+    over, or ``None`` for a private in-memory one; bindings stay private.
+    ``session_id`` labels it in journal tags, ``stat`` frames and txns.
     """
 
     def __init__(
         self,
-        store: Union[None, str, LogStore] = None,
+        store: Union[None, str, LogStore, TransactionManager] = None,
         session_id: Optional[str] = None,
-        memory_store: Optional[Dict[str, object]] = None,
-        txn_manager: Optional[TransactionManager] = None,
     ):
         self.output: List[str] = []
         self.session_id = session_id
         self._check_env = CheckEnv.initial()
         self._globals = Env()
-        self._store: Optional[LogStore] = (
-            store if isinstance(store, (LogStore, type(None))) else LogStore(store)
-        )
-        self._memory_store: Dict[str, object] = (
-            memory_store if memory_store is not None else {}
-        )
-        # All extern/intern traffic goes through a transaction manager;
-        # the broker passes one shared manager to every session so their
-        # snapshots and conflict checks see each other.  Standalone
-        # interpreters mint their own (autocommit writes through to the
-        # same backing, so sharing a raw store/dict still works).
-        self._txns = (
-            txn_manager
-            if txn_manager is not None
-            else TransactionManager(
-                store=self._store, memory=self._memory_store
-            )
-        )
-        self._txn: Optional[SessionTransaction] = None
+        # The Amber front every extern and intern goes through, and
+        # whose begin/commit/abort scope them in one transaction.
+        self.store = ReplicatingStore(store, owner=session_id)
         for name, builtin in _make_builtins(self).items():
             self._globals.define(name, builtin)
 
@@ -675,86 +650,6 @@ class Interpreter:
             return left >= right  # type: ignore[operator]
         raise EvalError("unknown operator %r" % op)
 
-    # -- extern / intern ------------------------------------------------------------------
-
-    def extern_value(self, handle: str, dyn: Dynamic) -> None:
-        """Replicate a dynamic value under ``handle`` (copy semantics).
-
-        Inside a transaction the write buffers privately until commit;
-        otherwise it autocommits immediately.
-        """
-        _metrics.REGISTRY.counter("lang.externs").inc()
-        with _trace.CURRENT.span("lang.extern", handle=handle):
-            document = serialize(_to_portable(dyn.value), typ=dyn.carried)
-            if self._txn is not None and self._txn.active:
-                self._txn.write(handle, document)
-            else:
-                self._txns.put(handle, document)
-
-    def intern_value(self, handle: str) -> Dynamic:
-        """Read back a fresh copy of the value under ``handle``.
-
-        Inside a transaction the read resolves at the pinned snapshot
-        (own uncommitted writes win), so a concurrent committer never
-        changes what this session sees mid-transaction.
-        """
-        _metrics.REGISTRY.counter("lang.interns").inc()
-        with _trace.CURRENT.span("lang.intern", handle=handle):
-            if self._txn is not None and self._txn.active:
-                document = self._txn.read(handle)
-            else:
-                document = self._txns.get(handle)
-            if document is None:
-                raise EvalError("no value externed under %r" % handle)
-            carried = stored_type(document)
-            if carried is None:
-                raise EvalError("handle %r carries no type" % handle)
-            return Dynamic(_from_portable(deserialize(document)), carried)
-
-    # -- transactions ---------------------------------------------------------------------
-
-    @property
-    def transaction(self) -> Optional[SessionTransaction]:
-        """The active session transaction, if any."""
-        if self._txn is not None and self._txn.active:
-            return self._txn
-        return None
-
-    def begin_transaction(self) -> int:
-        """Open a snapshot-isolated transaction; returns its snapshot epoch.
-
-        Until :meth:`commit_transaction`, every ``intern`` resolves at
-        the snapshot and every ``extern`` buffers privately.
-        """
-        if self.transaction is not None:
-            raise TransactionError(
-                "a transaction is already active — commit or abort it first"
-            )
-        self._txn = self._txns.begin(owner=self.session_id)
-        return self._txn.snapshot
-
-    def commit_transaction(self) -> Tuple[int, int]:
-        """Publish the active transaction; returns ``(epoch, written)``.
-
-        First-committer-wins: raises a retryable
-        :class:`~repro.errors.TransactionConflictError` (the
-        transaction is then already aborted) when a concurrent commit
-        touched an overlapping handle since this snapshot.
-        """
-        txn = self.transaction
-        if txn is None:
-            raise TransactionError("no transaction is active — begin one first")
-        self._txn = None
-        return txn.commit()
-
-    def abort_transaction(self) -> None:
-        """Discard the active transaction's buffered writes."""
-        txn = self.transaction
-        if txn is None:
-            raise TransactionError("no transaction is active — begin one first")
-        self._txn = None
-        txn.abort()
-
 
 # ---------------------------------------------------------------------------
 # Builtin implementations
@@ -784,12 +679,25 @@ def _make_builtins(interp: Interpreter) -> Dict[str, Builtin]:
             span_obj.annotate(scanned=len(db), matched=len(members))
         return members
 
+    # extern/intern copy values through the interpreter's Amber front,
+    # at its transaction's snapshot if one is open, else autocommitted.
     def extern(type_args, handle, dyn):
-        interp.extern_value(handle, dyn)
+        _metrics.REGISTRY.counter("lang.externs").inc()
+        with _trace.CURRENT.span("lang.extern", handle=handle):
+            document = serialize(_to_portable(dyn.value), typ=dyn.carried)
+            interp.store.extern_document(handle, document)
         return None
 
     def intern(type_args, handle):
-        return interp.intern_value(handle)
+        _metrics.REGISTRY.counter("lang.interns").inc()
+        with _trace.CURRENT.span("lang.intern", handle=handle):
+            document = interp.store.intern_document(handle)
+            if document is None:
+                raise EvalError("no value externed under %r" % handle)
+            carried = stored_type(document)
+            if carried is None:
+                raise EvalError("handle %r carries no type" % handle)
+            return Dynamic(_from_portable(deserialize(document)), carried)
 
     def map_(type_args, function, items):
         return [interp.call(function, [item]) for item in items]

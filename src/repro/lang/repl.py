@@ -116,13 +116,14 @@ BANNER = (
 class Repl:
     """A REPL session: presentation over a local or remote session.
 
-    ``writer`` receives output lines (defaults to ``print``); injecting
-    it keeps the class testable without capturing stdout.
+    ``store`` is as for :class:`~repro.lang.eval.Interpreter`; ``writer``
+    receives output lines (defaults to ``print``), which keeps the class
+    testable without capturing stdout.
     """
 
     def __init__(
         self,
-        store: Optional[str] = None,
+        store=None,
         writer: Optional[Callable[[str], None]] = None,
     ):
         self._session = Session(store=store, session_id="local")
@@ -563,11 +564,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     # Interactive sessions fly with the recorder on: anomalies (torn
     # records, transaction conflicts) land in :events even when the
     # user never asked for them in advance — so the journal must be
-    # live before the store replays its log.  Divergent re-interns do
-    # not: that audit lives only in ReplicatingStore, which this
-    # interpreter never uses (ROADMAP item 1 moves it into the extern
-    # namespace).  Adaptive estimation is on for
-    # the same reason: repeated :explain runs should self-correct
+    # live before the store replays its log.  Divergent re-interns land
+    # there too: this interpreter externs and interns through its own
+    # Amber front, which audits every handle it round-trips.  Adaptive
+    # estimation is on for the same reason: repeated :explain runs
+    # should self-correct
     # (:adaptive off restores purely static estimates).  Columnar
     # execution is on because interactive queries should run at the
     # vectorized speed by default (:columnar off restores row-at-a-time

@@ -14,8 +14,8 @@ layers publish into:
 * ``store``       — log replays, torn records, checksum failures (WARN);
 * ``heap``        — intrinsic commits: reachability-sweep size,
   written/collected object counts;
-* ``replicating`` — extern/intern round-trip fingerprints, and WARN
-  events for divergent re-interns (the paper's update anomaly);
+* ``replicating`` — extern/intern round-trips with their versions, and
+  WARN events for divergent re-interns (the paper's update anomaly);
 * ``image``       — all-or-nothing saves and resumes;
 * ``txn``         — MVCC transaction begins, commits, conflicts,
   aborts, and vacuums;

@@ -34,6 +34,8 @@ Two flavours share the epoch/conflict machinery:
   which is what the multi-session server threads through every session's
   interpreter.  Committed values write through to the plain ``extern:``
   keys, so the on-disk format stays readable by non-transactional code.
+  Only the manager reads or writes those keys; interpreters reach it
+  through a :class:`~repro.persistence.replicating.ReplicatingStore`.
 
 Both emit ``txn.{begin,commit,abort,conflict}`` metrics and journal
 events under the ``txn`` subsystem; the ``txn.conflict_rate`` health
@@ -615,14 +617,14 @@ class HeapTransaction(_ObjectGraph):
 class TransactionManager:
     """Snapshot isolation for the extern namespace of a shared store.
 
-    One manager fronts one backing store (a :class:`LogStore` or a plain
-    dict for in-memory sessions); the multi-session broker owns a single
-    manager and hands it to every session's interpreter.  Version chains
-    live in memory — the durable format is unchanged: a commit writes
-    the winning values through to the plain ``extern:<handle>`` keys in
-    one atomic batch, so stores written under MVCC replay exactly like
-    stores written without it (a crash inside the commit window replays
-    to the state before the commit).
+    One manager fronts one backing store (a :class:`LogStore`, a path to
+    one, or a plain dict for in-memory sessions) and is one namespace:
+    the multi-session broker hands its manager to every session's
+    interpreter.  Version chains live in memory — the durable format is
+    unchanged: a commit writes the winning values through to the plain
+    ``extern:<handle>`` keys in one atomic batch, so stores written
+    under MVCC replay exactly like stores written without it (a crash
+    inside the commit window replays to the state before the commit).
 
     A chain lives only while some open snapshot can still read an older
     version than the backing store holds, so the chains are bounded by
@@ -637,15 +639,14 @@ class TransactionManager:
 
     def __init__(
         self,
-        store: Optional[LogStore] = None,
+        store: Union[LogStore, str, None] = None,
         memory: Optional[dict] = None,
     ):
-        self._store = store
-        if store is None:
-            self._memory = memory if memory is not None else {}
-        else:
-            self._memory = memory
-        self._lock = threading.RLock()
+        # The backing log store (``None`` for an in-memory namespace).
+        self.store = LogStore(store) if isinstance(store, str) else store
+        self._memory = memory if memory is not None else {}  # storeless
+        # Re-entrant: the Amber front holds it around a read and a write.
+        self.lock = threading.RLock()
         # handle -> [(epoch, value-or-None)] sorted by epoch; epoch 0 is
         # the backing store's value when the chain was seeded.
         self._chains: Dict[str, List[Tuple[int, Optional[object]]]] = {}
@@ -662,17 +663,23 @@ class TransactionManager:
     # -- backing store ------------------------------------------------------
 
     def _backing_get(self, handle: str) -> Optional[object]:
-        if self._store is not None:
-            return self._store.get(_EXTERN_PREFIX + handle)
+        if self.store is not None:
+            return self.store.get(_EXTERN_PREFIX + handle)
         return self._memory.get(handle)
 
     def _backing_write(self, writes: Dict[str, object]) -> None:
-        if self._store is not None:
-            with self._store.batch():
-                for handle, document in writes.items():
-                    self._store.put(_EXTERN_PREFIX + handle, document)
-        else:
+        # A ``None`` document deletes the handle.
+        if self.store is None:
             self._memory.update(writes)
+            for handle in [h for h, doc in writes.items() if doc is None]:
+                del self._memory[handle]
+            return
+        with self.store.batch():
+            for handle, document in writes.items():
+                if document is None:
+                    self.store.delete(_EXTERN_PREFIX + handle)
+                else:
+                    self.store.put(_EXTERN_PREFIX + handle, document)
 
     # -- version chains (call with the lock held) ---------------------------
 
@@ -738,21 +745,31 @@ class TransactionManager:
         """How many handles currently keep an in-memory version chain."""
         return len(self._chains)
 
+    def handles(self) -> List[str]:
+        """The committed handles, sorted."""
+        if self.store is None:
+            return sorted(self._memory)
+        keys = self.store.keys()
+        return [k[len(_EXTERN_PREFIX):] for k in keys if k.startswith(_EXTERN_PREFIX)]
+
+    def close(self) -> None:
+        """Close the backing log store, if there is one."""
+        if self.store is not None:
+            self.store.close()
+
     def get(self, handle: str) -> Optional[object]:
         """Read the committed value of ``handle`` (``None`` when absent).
 
         Reads the backing store directly: every commit writes through,
-        so the backing is always the newest committed state — and
-        writers that bypass this manager (another process, a legacy
-        interpreter sharing the same dict) stay visible, exactly as
-        before MVCC.  Version chains only serve snapshot reads inside
-        transactions.
+        so it holds the newest committed state, and writers that bypass
+        this manager (another manager on the same store) stay visible.
+        Version chains only serve snapshot reads inside transactions.
         """
         return self._backing_get(handle)
 
     def put(self, handle: str, document: object) -> int:
-        """Autocommit one write; returns the epoch it created."""
-        with self._lock:
+        """Autocommit one write (``None`` deletes); returns its epoch."""
+        with self.lock:
             # Seed the chain (capturing the pre-write backing value as
             # its epoch-0 base) and make the write durable *before*
             # advertising the new epoch: a failed store write leaves no
@@ -770,7 +787,7 @@ class TransactionManager:
 
     def begin(self, owner: Optional[str] = None) -> "SessionTransaction":
         """Start a transaction pinned to the current committed epoch."""
-        with self._lock:
+        with self.lock:
             tid = self._next_tid
             self._next_tid += 1
             txn = SessionTransaction(self, tid, self._epoch, owner)
@@ -826,7 +843,7 @@ class SessionTransaction:
         if handle in self.writes:
             return self.writes[handle]
         self.reads.add(handle)
-        with self._manager._lock:
+        with self._manager.lock:
             return self._manager._value_at(handle, self.snapshot)
 
     def write(self, handle: str, document: object) -> None:
@@ -858,7 +875,7 @@ class SessionTransaction:
             )
             return self.snapshot, 0
         sweep = self.reads | set(self.writes)
-        with manager._lock:
+        with manager.lock:
             # Every epoch above this snapshot is still in the history:
             # the prune horizon never passes an open snapshot.
             history = manager._writes
@@ -930,7 +947,7 @@ class SessionTransaction:
         # horizon, so each one prunes.
         self._active_flag = False
         manager = self._manager
-        with manager._lock:
+        with manager.lock:
             manager._active.pop(self.tid, None)
             manager._prune()
 

@@ -4,9 +4,13 @@ SNIPPETS.md's ``PersistenceBroker`` pattern — clients *connect*, then
 save and query through a broker that owns the storage connection —
 done natively.  The broker owns three shared things:
 
-* the **store** every session's ``extern``/``intern`` hits (a
-  :class:`~repro.persistence.store.LogStore` for a path, or one shared
-  in-memory dict when the server runs storeless);
+* the **extern namespace** every session's ``extern``/``intern`` hits:
+  one :class:`~repro.persistence.mvcc.TransactionManager` over a
+  :class:`~repro.persistence.store.LogStore` for a path, or in memory
+  when the server runs storeless.  Each session's interpreter reaches it
+  through an Amber front of its own
+  (:class:`~repro.persistence.replicating.ReplicatingStore`), which
+  stamps handle versions and audits divergent re-interns per session;
 * the **admission state**: at most ``limit`` concurrent sessions, with
   a bounded FIFO accept queue of ``queue_limit`` waiters — one past
   that is rejected immediately (``server.connections.rejected``), so a
@@ -19,10 +23,7 @@ done natively.  The broker owns three shared things:
   :class:`~repro.persistence.mvcc.TransactionManager`, which gives
   every session snapshot-isolated ``extern``/``intern`` (MVCC with
   first-committer-wins commits — see TRANSACTIONS.md) and serializes
-  the actual store writes;
-* the **transaction manager** itself: one per broker, handed to every
-  session's interpreter, so their snapshots and conflict checks see
-  each other.
+  the actual store writes.
 
 Gauges ``server.sessions.active`` / ``server.sessions.limit`` /
 ``server.workers`` and the accepted/rejected counters feed the
@@ -43,7 +44,6 @@ from repro.errors import BrokerBusyError, SessionClosedError
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.persistence.mvcc import TransactionManager
-from repro.persistence.store import LogStore
 from repro.server.session import Session
 
 def default_workers() -> int:
@@ -84,20 +84,10 @@ class SessionBroker:
         self.workers = workers if workers is not None else default_workers()
         self._session_factory = session_factory or Session
         self._owns_store = isinstance(store, str)
-        self._store: Optional[LogStore] = (
-            LogStore(store) if isinstance(store, str) else store
-        )
-        self._memory_store: Optional[Dict[str, object]] = (
-            {} if self._store is None else None
-        )
-        # One transaction manager for the whole server: every session's
-        # extern/intern goes through it, giving snapshot isolation with
-        # first-committer-wins commits across sessions — and funnelling
-        # all store writes through one lock (the LogStore itself is not
-        # thread-safe).
-        self.txns = TransactionManager(
-            store=self._store, memory=self._memory_store
-        )
+        # The server's one extern namespace: snapshot isolation and
+        # first-committer-wins across sessions, and one lock for all
+        # store writes (the LogStore itself is not thread-safe).
+        self.txns = TransactionManager(store)
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._active: Dict[str, Session] = {}
@@ -114,11 +104,6 @@ class SessionBroker:
         _metrics.REGISTRY.gauge("server.sessions.limit").set(float(limit))
         _metrics.REGISTRY.gauge("server.sessions.active").set(0.0)
         _metrics.REGISTRY.gauge("server.workers").set(float(self.workers))
-
-    @property
-    def store(self) -> Optional[LogStore]:
-        """The shared log store (``None`` when running in memory)."""
-        return self._store
 
     @property
     def active(self) -> int:
@@ -170,13 +155,11 @@ class SessionBroker:
     def _open_session(self) -> Session:
         session_id = "s%02d" % next(self._ids)
         session = self._session_factory(
-            store=self._store,
+            store=self.txns,
             session_id=session_id,
-            memory_store=self._memory_store,
             broker=self,
             publish_runs=True,
             requests_capacity=self.requests_capacity,
-            txn_manager=self.txns,
         )
         with self._lock:
             self._active[session_id] = session
@@ -248,8 +231,8 @@ class SessionBroker:
         for session in self.sessions():
             self.release(session)
         self.executor.shutdown(wait=True)
-        if self._owns_store and self._store is not None:
-            self._store.close()
+        if self._owns_store:
+            self.txns.close()
         _metrics.REGISTRY.gauge("server.sessions.active").set(0.0)
 
     def __repr__(self) -> str:

@@ -98,9 +98,9 @@ OBS_KINDS = frozenset({"spans", "profile", "journal", "requests"})
 class Session:
     """One client's DBPL state against the shared store.
 
-    ``store`` is a shared :class:`~repro.persistence.store.LogStore`
-    (or a path, or ``None``); ``memory_store`` is the broker's shared
-    in-memory extent dict for path-less servers.  ``publish_runs``
+    ``store`` names the extern namespace, as for
+    :class:`~repro.lang.eval.Interpreter` (the broker passes its shared
+    :class:`~repro.persistence.mvcc.TransactionManager`).  ``publish_runs``
     turns on per-request journal events (the server sets it; the local
     REPL keeps it off so interactive journals match the pre-server
     behaviour).
@@ -110,11 +110,9 @@ class Session:
         self,
         store=None,
         session_id: str = "local",
-        memory_store: Optional[Dict[str, object]] = None,
         broker=None,
         publish_runs: bool = False,
         requests_capacity: int = 64,
-        txn_manager=None,
     ):
         self.session_id = session_id
         self.broker = broker
@@ -126,12 +124,7 @@ class Session:
         # One wide event per completed run() — the session's bounded
         # request history behind :requests and the obs surface.
         self.request_log = _wide.RequestLog(capacity=requests_capacity)
-        self._interp = Interpreter(
-            store,
-            session_id=session_id,
-            memory_store=memory_store,
-            txn_manager=txn_manager,
-        )
+        self._interp = Interpreter(store, session_id=session_id)
         self._table_stats: Dict[str, TableStats] = {}
 
     # -- lifecycle ----------------------------------------------------------
@@ -149,8 +142,8 @@ class Session:
         pin its snapshot (which would hold version history alive) or
         leak buffered writes.
         """
-        if not self.closed and self._interp.transaction is not None:
-            self._interp.abort_transaction()
+        if not self.closed and self._interp.store.transaction is not None:
+            self._interp.store.abort()
         self.closed = True
 
     def describe(self) -> str:
@@ -343,19 +336,13 @@ class Session:
     # -- transactions -------------------------------------------------------
 
     def begin(self) -> Dict[str, object]:
-        """Open a snapshot-isolated transaction (the ``begin`` frame).
-
-        Until commit, every ``intern`` in this session resolves at the
-        pinned snapshot and every ``extern`` buffers privately.
-        Raises :class:`~repro.errors.TransactionError` when one is
-        already open.
-        """
+        """Open a snapshot-isolated transaction (the ``begin`` frame):
+        until commit, ``intern`` reads the snapshot and ``extern``
+        buffers.  Raises :class:`~repro.errors.TransactionError` when one
+        is already open."""
         self._touch()
-        epoch = self._interp.begin_transaction()
-        if self.publish_runs and self.journal.enabled:
-            self.journal.publish(
-                "INFO", "server", "txn_begin", snapshot=epoch
-            )
+        epoch = self._interp.store.begin()
+        self._txn_event("txn_begin", snapshot=epoch)
         return {
             "text": "transaction open (snapshot epoch %d)" % epoch,
             "epoch": epoch,
@@ -370,11 +357,8 @@ class Session:
         then already aborted — ``:begin`` again and retry.
         """
         self._touch()
-        epoch, written = self._interp.commit_transaction()
-        if self.publish_runs and self.journal.enabled:
-            self.journal.publish(
-                "INFO", "server", "txn_commit", epoch=epoch, written=written
-            )
+        epoch, written = self._interp.store.commit()
+        self._txn_event("txn_commit", epoch=epoch, written=written)
         if written:
             text = "committed epoch %d (%d handle(s) written)" % (
                 epoch, written,
@@ -386,10 +370,13 @@ class Session:
     def abort(self) -> Dict[str, object]:
         """Abort the open transaction (the ``abort`` frame)."""
         self._touch()
-        self._interp.abort_transaction()
-        if self.publish_runs and self.journal.enabled:
-            self.journal.publish("INFO", "server", "txn_abort")
+        self._interp.store.abort()
+        self._txn_event("txn_abort")
         return {"text": "transaction aborted", "written": 0}
+
+    def _txn_event(self, name: str, **payload: object) -> None:
+        if self.publish_runs and self.journal.enabled:
+            self.journal.publish("INFO", "server", name, **payload)
 
     # -- stat ---------------------------------------------------------------
 

@@ -185,9 +185,10 @@ def analyze(
         raise ValueError("analyze needs a non-negative mcv_limit")
     started = time.perf_counter()
     row_count, values_by_attribute = _gather(relation)
+    flat = relation if isinstance(relation, FlatRelation) else None
     columns = {
         attribute: _column_stats(
-            attribute, values, row_count, buckets, mcv_limit
+            attribute, values, row_count, buckets, mcv_limit, flat
         )
         for attribute, values in values_by_attribute.items()
     }
@@ -234,9 +235,7 @@ def _gather(relation) -> Tuple[int, Dict[str, Sequence[object]]]:
     list length is the absent count.
     """
     if isinstance(relation, FlatRelation):
-        rows = relation.rows
-        columns = zip(*rows) if rows else [()] * len(relation.schema)
-        return len(rows), dict(zip(relation.schema, columns))
+        return len(relation.rows), dict(zip(relation.schema, relation.columns()))
     values: Dict[str, List[object]] = {}
     row_count = 0
     for member in relation:
@@ -268,19 +267,33 @@ def _column_stats(
     row_count: int,
     buckets: int,
     mcv_limit: int,
+    flat: Optional[FlatRelation] = None,
 ) -> ColumnStats:
-    if uniform_scalar_type(present) is not None:
+    kind = uniform_scalar_type(present)
+    if kind is not None:
         # One scalar type: the values are their own order keys.
         counts = Counter(present)
-        ordered = scalars = sorted(counts)
-        value_of = _itself
+        value_of, tag = _itself, _itself
     else:
         counts = Counter(map(order_key, present))
+        value_of, tag = itemgetter(1), order_key
+    zero = tag(0.0)
+    if flat is not None and kind in (float, None) and zero in counts:
+        # ±0.0 share a key, spelled as first met; a walk of the relation
+        # (``repr`` row order) decides that spelling, and it ranks MCV ties.
+        position = flat.schema.index(attribute)
+        first = min(
+            (repr(row), row[position]) for row in flat.rows
+            if type(row[position]) is float and row[position] == 0.0
+        )[1]
+        counts[tag(first)] = counts.pop(zero)
+    if kind is not None:
+        ordered = scalars = sorted(counts)
+    else:
         ordered = sorted(
             key for key in counts if isinstance(key[1], _SCALAR_TYPES)
         )
         scalars = [key[1] for key in ordered]
-        value_of = itemgetter(1)
     histogram = (
         EquiDepthHistogram.from_sorted(
             scalars, list(map(counts.__getitem__, ordered)), buckets

@@ -168,3 +168,46 @@ class TestShapeDiagnostics:
     def test_explosion_size(self):
         assert explosion_size(tree_explosion()) == 4
         assert explosion_size(dag_explosion(6)) == 7
+
+
+def assembly_chain(length):
+    """``length`` assemblies, each using the next once, over one base
+    part: deeper than the default recursion limit allows a walk."""
+    part = make_base_part("bolt", 1.0, mass=0.5)
+    for index in range(length):
+        part = make_assembly("a%d" % index, 0.5, [(part, 1)], assembly_mass=0.25)
+    return part
+
+
+class TestDeepExplosions:
+    CHAIN = 3000
+
+    def test_every_walk_handles_a_deep_chain(self):
+        product = assembly_chain(self.CHAIN)
+        parts = self.CHAIN + 1
+        assert explosion_size(product) == parts
+        assert is_tree_explosion(product)
+        naive = roll_up_naive(product)
+        assert naive.visits == parts
+        assert naive.value == pytest.approx(1.0 + 0.5 * self.CHAIN)
+        memoized = roll_up_memoized(product)
+        assert (memoized.value, memoized.visits) == (naive.value, parts)
+        assert roll_up_memoized(product).visits == 0
+        mass = roll_up_memoized(product, TOTAL_MASS)
+        assert mass.value == roll_up_naive(product, TOTAL_MASS).value
+        assert clear_memos(product) == parts
+        assert clear_memos(product, TOTAL_MASS) == parts
+        assert clear_memos(product) == 0
+
+    def test_deep_chain_survives_a_heap_round_trip(self, tmp_path):
+        path = str(tmp_path / "chain.log")
+        heap = PersistentHeap(path)
+        heap.root("product", assembly_chain(self.CHAIN))
+        expected = roll_up_memoized(heap.get_root("product")).value
+        heap.commit()
+        heap.close()
+        reopened = PersistentHeap(path)
+        product = reopened.get_root("product")
+        assert roll_up_memoized(product).value == expected
+        assert roll_up_naive(product).value == expected
+        reopened.close()

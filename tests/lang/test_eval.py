@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import EvalError, TypeCheckError
 from repro.lang.eval import Interpreter, RuntimeRecord, format_value, run_program
+from repro.persistence.mvcc import TransactionManager
 from repro.persistence.store import LogStore
 from repro.types.dynamic import Dynamic
 from repro.types.kinds import INT, record_type
@@ -251,14 +252,15 @@ class TestPersistenceBuiltins:
         first.run('extern("h", dynamic 1);')
         second.run('extern("h", dynamic 2);')
         assert first.run('coerce intern("h") to Int').value == 2
-        first.begin_transaction()
+        first.store.begin()
         assert first.run('coerce intern("h") to Int').value == 2
-        first.abort_transaction()
+        first.store.abort()
 
     def test_transaction_sees_another_interpreters_extern(self):
         shared = {}
         self._check_no_stale_intern(
-            Interpreter(memory_store=shared), Interpreter(memory_store=shared)
+            Interpreter(TransactionManager(memory=shared)),
+            Interpreter(TransactionManager(memory=shared)),
         )
 
     def test_transaction_sees_another_interpreters_extern_on_disk(

@@ -1,9 +1,9 @@
 """Persistence audit trails in the event journal.
 
 Commits chronicle their reachability sweep, extern/intern round-trips
-carry fingerprints, and a re-intern that finds the stored value changed
+carry versions, and a re-intern that finds the stored value changed
 behind this store front's back — the paper's update anomaly — lands as
-a WARN event.
+a WARN event carrying both content fingerprints.
 """
 
 import os
@@ -15,6 +15,7 @@ from repro.obs.metrics import REGISTRY
 from repro.persistence.allornothing import ImagePersistence
 from repro.persistence.heap import PObject
 from repro.persistence.intrinsic import PersistentHeap
+from repro.persistence import replicating
 from repro.persistence.replicating import ReplicatingStore
 from repro.persistence.store import LogStore
 from repro.types.dynamic import dynamic
@@ -63,19 +64,16 @@ class TestHeapCommitAudit:
 
 
 class TestReplicatingAudit:
-    def test_round_trips_log_matching_fingerprints(self, journal, tmp_path):
+    def test_round_trips_log_matching_versions(self, journal, tmp_path):
         store = ReplicatingStore(str(tmp_path / "r.log"))
         store.extern("doc", dynamic("payload"))
         store.intern("doc")
         externs = journal.events(subsystem="replicating")
         assert [e.name for e in externs] == ["extern", "intern"]
-        assert (
-            externs[0].payload["fingerprint"]
-            == externs[1].payload["fingerprint"]
-        )
+        assert [e.payload["version"] for e in externs] == [1, 1]
         assert store.last_fingerprint("doc") == (
             1,
-            externs[0].payload["fingerprint"],
+            replicating._fingerprint(store.manager.get("doc")),
         )
         store.close()
 
@@ -111,20 +109,39 @@ class TestReplicatingAudit:
         self, journal, tmp_path
     ):
         store = ReplicatingStore(str(tmp_path / "r.log"))
+        other = ReplicatingStore(store.manager)
         store.extern("doc", dynamic("stable"))
-        store.extern("doc", dynamic("stable"))
+        first = store.last_fingerprint("doc")
+        other.extern("doc", dynamic("stable"))
         # A new version of the identical value: same fingerprint, and
         # the next intern is NOT flagged divergent.
         store.intern("doc")
         assert journal.events(severity="WARN") == []
-        externs = [
-            e for e in journal.events(subsystem="replicating")
-            if e.name == "extern"
-        ]
-        assert (
-            externs[0].payload["fingerprint"]
-            == externs[1].payload["fingerprint"]
-        )
+        assert store.last_fingerprint("doc") == (2, first[1])
+        store.close()
+
+    def test_unchanged_handle_computes_no_fingerprint(
+        self, journal, tmp_path, monkeypatch
+    ):
+        calls = []
+        original = replicating._fingerprint
+
+        def counting(document):
+            calls.append(document)
+            return original(document)
+
+        monkeypatch.setattr(replicating, "_fingerprint", counting)
+        store = ReplicatingStore(str(tmp_path / "r.log"))
+        other = ReplicatingStore(store.manager)
+        store.extern("doc", dynamic("v1"))
+        for __ in range(3):
+            store.intern("doc")
+        assert calls == []
+        other.extern("doc", dynamic("v2"))
+        store.intern("doc")  # classify the changed handle: hash both
+        assert len(calls) == 2
+        store.intern("doc")
+        assert len(calls) == 2
         store.close()
 
 

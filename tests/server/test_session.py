@@ -5,6 +5,7 @@ import pytest
 from repro.errors import EvalError, SessionClosedError, TypeCheckError
 from repro.obs import events, slowlog, trace
 from repro.obs.metrics import reset_metrics
+from repro.persistence.mvcc import TransactionManager
 from repro.persistence.store import LogStore
 from repro.server.session import OBS_KINDS, STAT_KINDS, Session
 
@@ -62,9 +63,9 @@ class TestRun:
 
 class TestIsolation:
     def test_bindings_are_private_extents_are_shared_in_memory(self):
-        shared = {}
-        first = Session(session_id="a", memory_store=shared)
-        second = Session(session_id="b", memory_store=shared)
+        shared = TransactionManager()
+        first = Session(store=shared, session_id="a")
+        second = Session(store=shared, session_id="b")
         first.run("let secret = 41")
         first.run('extern("x", dynamic secret);')
         with pytest.raises(TypeCheckError):

@@ -254,8 +254,8 @@ class TestWorkerPool:
         try:
             a = broker._open_session()
             b = broker._open_session()
-            assert a.interpreter._txns is broker.txns
-            assert b.interpreter._txns is broker.txns
+            assert a.interpreter.store.manager is broker.txns
+            assert b.interpreter.store.manager is broker.txns
         finally:
             broker.close()
 
