@@ -36,15 +36,22 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
 from datetime import datetime, timezone
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs import events as _events
 from repro.obs import export as _export
 from repro.obs.metrics import REGISTRY
+
+
+def median_and_iqr(samples: List[float]) -> Tuple[float, float]:
+    """The median and the interquartile range of ``samples``."""
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return median, q3 - q1
 
 
 def quick_requested(argv: Optional[List[str]] = None) -> bool:

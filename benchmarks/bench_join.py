@@ -52,26 +52,6 @@ def test_results_coincide(size):
     assert generalized == flat.to_generalized()
 
 
-@pytest.mark.parametrize("size", SIZES)
-def test_fastpath_join_on_flat_data(benchmark, size):
-    """Ablation: the flat fast path closes most of the gap."""
-    from repro.core.relation import join_with_fastpath
-
-    left, right = flat_join_pair(size, key_cardinality=size // 4, seed=3)
-    g_left = left.to_generalized()
-    g_right = right.to_generalized()
-    result = benchmark(lambda: join_with_fastpath(g_left, g_right))
-    assert result == g_left.join(g_right)
-
-
-def test_fastpath_falls_back_on_partial_data():
-    from repro.core.relation import join_with_fastpath
-
-    left = random_generalized_relation(30, null_fraction=0.4, seed=9)
-    right = random_generalized_relation(30, null_fraction=0.4, seed=10)
-    assert join_with_fastpath(left, right) == left.join(right)
-
-
 @pytest.mark.parametrize("null_fraction", [0.2, 0.5])
 def test_generalized_join_on_partial_data(benchmark, null_fraction):
     left = random_generalized_relation(
@@ -95,15 +75,14 @@ def main():
     from repro.core import columnar as _columnar
     from repro.core.index import Catalog
     from repro.core.query import ColumnarExec, explain, optimize, scan
-    from repro.core.relation import join_with_fastpath
 
     quick = quick_requested()
     writer = ResultsWriter("join", quick=quick)
     sizes = (20, 60) if quick else (20, 60, 150, 300)
 
     print("E4 — natural join vs generalized join on flat data")
-    print("%-8s %14s %14s %14s %10s"
-          % ("size", "flat(s)", "generalized(s)", "fastpath(s)", "factor"))
+    print("%-8s %14s %14s %10s"
+          % ("size", "flat(s)", "generalized(s)", "factor"))
     for size in sizes:
         left, right = flat_join_pair(size, key_cardinality=size // 4, seed=3)
         g_left, g_right = left.to_generalized(), right.to_generalized()
@@ -114,14 +93,10 @@ def main():
         generalized, gen_t = writer.timeit(
             "generalized_join", size, lambda: g_left.join(g_right)
         )
-        __, fast_t = writer.timeit(
-            "fastpath_join", size, lambda: join_with_fastpath(g_left, g_right)
-        )
 
         assert generalized == flat.to_generalized()
-        print("%-8d %14.6f %14.6f %14.6f %9.1fx"
-              % (size, flat_t, gen_t, fast_t,
-                 gen_t / flat_t if flat_t else 0.0))
+        print("%-8d %14.6f %14.6f %9.1fx"
+              % (size, flat_t, gen_t, gen_t / flat_t if flat_t else 0.0))
     print("\nSame results; the generalized operator pays for generality,")
     print("but it is the only one defined once records go partial.")
 

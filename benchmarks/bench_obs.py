@@ -4,10 +4,12 @@ The observability tentpole only earns its keep if leaving the event
 journal *on* costs almost nothing: every call site guards with a single
 ``_events.CURRENT.enabled`` attribute check, and publishing is one lock
 plus a ring-slot write.  This harness measures the same mixed workload
-(optimize + execute a star query, a generalized fast-path join) with
-the journal off and on, takes the min over interleaved repeats, and
-**fails the run** when enabled/disabled exceeds :data:`OVERHEAD_BUDGET`
-(1.25x) — the regression guard CI runs with ``--quick``.
+(optimize + execute a star query, a generalized join) with the journal
+off and on in interleaved off/on pairs, records each mode's median and
+interquartile range, and **fails the run** when the median of the
+pairs' on/off ratios exceeds :data:`OVERHEAD_BUDGET` (1.25x) — the
+regression guard CI runs with ``--quick``.  A median of pairs, unlike
+a ratio of two minimums, rests on every run and not on the two luckiest.
 
 It also measures raw publish throughput, and finishes by executing one
 optimized plan under tracing so the exported ``BENCH_obs.trace.json``
@@ -17,18 +19,22 @@ artifact to drop into ``chrome://tracing`` / Perfetto.
 Run:  python benchmarks/bench_obs.py [--quick]
 """
 
+import statistics
 import time
 
 try:
-    from benchmarks._results import ResultsWriter, quick_requested
+    from benchmarks._results import (
+        ResultsWriter,
+        median_and_iqr,
+        quick_requested,
+    )
     from benchmarks.bench_query import make_catalog, star_query
 except ImportError:
-    from _results import ResultsWriter, quick_requested
+    from _results import ResultsWriter, median_and_iqr, quick_requested
     from bench_query import make_catalog, star_query
 
 from repro.core.index import Catalog
 from repro.core.query import explain_analyze, optimize
-from repro.core.relation import join_with_fastpath
 from repro.obs import events as _events
 from repro.obs import trace as _trace
 from repro.obs.export import read_trace, span_tree
@@ -37,7 +43,7 @@ OVERHEAD_BUDGET = 1.25
 
 
 def make_workload(size):
-    """A closed, journal-exercising workload: plan + fast-path joins."""
+    """A closed, journal-exercising workload: plan + generalized join."""
     catalog = make_catalog(size)
     plan = star_query()
     left = catalog["emp"].to_generalized()
@@ -45,7 +51,7 @@ def make_workload(size):
 
     def run():
         optimize(plan, catalog).execute(catalog)
-        join_with_fastpath(left, right)
+        left.join(right)
 
     return run
 
@@ -63,31 +69,36 @@ def main():
     writer = ResultsWriter("obs", quick=quick)
     size = 300 if quick else 1000
     iterations = 10 if quick else 30
-    repeats = 3 if quick else 5
+    pairs = 9 if quick else 15
 
     run = make_workload(size)
     run()  # warm caches and lazily-created metrics before timing
 
-    # Interleave off/on repeats so drift (thermal, page cache) hits both
-    # modes equally; min-of-repeats is the standard noise filter.
+    # Interleaved off/on pairs, so drift (thermal, page cache) hits both
+    # modes alike; the gate is the median of the pairs' ratios.
     off_times, on_times = [], []
-    for _ in range(repeats):
+    for _ in range(pairs):
         _events.disable()
         off_times.append(measure(run, iterations))
         _events.enable()
         on_times.append(measure(run, iterations))
-    best_off, best_on = min(off_times), min(on_times)
-    ratio = best_on / best_off if best_off else 1.0
-    writer.record("workload_journal_off", size, best_off,
-                  iterations=iterations)
-    writer.record("workload_journal_on", size, best_on,
-                  iterations=iterations, ratio=ratio)
+    ratio = statistics.median(
+        on / off for on, off in zip(on_times, off_times)
+    )
+    off_median, off_iqr = median_and_iqr(off_times)
+    on_median, on_iqr = median_and_iqr(on_times)
+    writer.record("workload_journal_off", size, off_median,
+                  iterations=iterations, pairs=pairs, iqr=off_iqr)
+    writer.record("workload_journal_on", size, on_median,
+                  iterations=iterations, pairs=pairs, iqr=on_iqr,
+                  ratio=ratio)
 
-    print("flight-recorder overhead (star query + fastpath join, n=%d)"
+    print("flight-recorder overhead (star query + generalized join, n=%d)"
           % size)
-    print("%-24s %12s" % ("mode", "best(s)"))
-    print("%-24s %12.6f" % ("journal off", best_off))
-    print("%-24s %12.6f   (%.3fx)" % ("journal on", best_on, ratio))
+    print("%-24s %12s %12s" % ("mode", "median(s)", "IQR(s)"))
+    print("%-24s %12.6f %12.6f" % ("journal off", off_median, off_iqr))
+    print("%-24s %12.6f %12.6f" % ("journal on", on_median, on_iqr))
+    print("median on/off ratio over %d pairs: %.3fx" % (pairs, ratio))
 
     # Raw publish throughput: how fast can events land in the ring?
     journal = _events.enable()
@@ -123,10 +134,10 @@ def main():
     assert plan_spans, "exported trace lost the plan span tree"
 
     if ratio > OVERHEAD_BUDGET:
-        print("\nFAIL: journal overhead %.3fx exceeds the %.2fx budget"
+        print("\nFAIL: median journal overhead %.3fx exceeds the %.2fx budget"
               % (ratio, OVERHEAD_BUDGET))
         raise SystemExit(1)
-    print("\njournal overhead %.3fx within the %.2fx budget"
+    print("\nmedian journal overhead %.3fx within the %.2fx budget"
           % (ratio, OVERHEAD_BUDGET))
 
 

@@ -11,14 +11,16 @@ real TCP frames:
 * **reads under a writer** — 16 reader clients hammer ``intern`` on a
   seeded handle while one background writer commits ``extern`` after
   ``extern`` (each autocommit is an atomic batch + fsync on the log).
-  The same workload runs against a server pinned to ``workers=1`` (the
-  pre-MVCC stance) and against the pooled default, in
+  The same workload runs against a server pinned to ``--workers 1``
+  (the pre-MVCC stance) and against one with the default pool, in
   :data:`PAIRS` alternating serialized/pooled pairs, so drift on a
-  noisy host hits both modes alike.  Every reply is checked.  The
-  pooled median must beat the serialized median — the point of a
-  worker pool — and that comparison is a hard gate (exit 1 when the
-  pooled median <= the serialized median); each mode's median and
-  interquartile range go to the JSON;
+  noisy host hits both modes alike.  Each run starts its own
+  ``python -m repro.server`` process, so the server's interpreter lock
+  is not the one the 16 client threads contend for.  Every reply is
+  checked.  The pooled median must beat the serialized median — the
+  point of a worker pool — and that comparison is a hard gate (exit 1
+  when the pooled median <= the serialized median); each mode's median
+  and interquartile range go to the JSON;
 * **pure reads** — the same 16 clients with no writer, both modes, once,
   for reference (CPython's interpreter lock bounds the gap here; the
   win comes from overlapping reads with the writer's I/O stalls);
@@ -46,21 +48,32 @@ Run:  python benchmarks/bench_txn.py [--quick]
 
 import os
 import shutil
+import signal
 import statistics
+import subprocess
+import sys
 import tempfile
 import threading
 import time
 
 try:
-    from benchmarks._results import ResultsWriter, quick_requested
+    from benchmarks._results import (
+        ResultsWriter,
+        median_and_iqr,
+        quick_requested,
+    )
 except ImportError:
-    from _results import ResultsWriter, quick_requested
+    from _results import ResultsWriter, median_and_iqr, quick_requested
 
 from repro.errors import TransactionConflictError
 from repro.obs.metrics import REGISTRY
 from repro.persistence.mvcc import TransactionManager
 from repro.server import Client, ServerThread
+from repro.server.broker import default_workers
 
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+)
 READERS = 16
 PAIRS = 5  # alternating serialized/pooled runs of the read-under-writer phase
 WRITE_VALUE = 41
@@ -124,6 +137,47 @@ class BackgroundWriter(threading.Thread):
             self.errors.append("writer: %s: %s" % (type(exc).__name__, exc))
 
 
+class SpawnedServer:
+    """``python -m repro.server`` in a child process, on an ephemeral
+    port read from its banner; leaving the ``with`` block drains it
+    (SIGINT)."""
+
+    def __init__(self, store, workers, limit):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            path for path in (SRC, env.get("PYTHONPATH")) if path
+        )
+        self.proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro.server", "--port", "0",
+             "--workers", str(workers), "--limit", str(limit), store],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+            text=True,
+        )
+        banner = self.proc.stdout.readline()
+        if "listening on " not in banner:
+            self.stop()
+            raise RuntimeError("server did not start: %r" % banner)
+        address = banner.split("listening on ", 1)[1].split(" ", 1)[0]
+        self.host, port = address.rsplit(":", 1)
+        self.port = int(port)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.stop()
+
+    def stop(self):
+        if self.proc.poll() is None:
+            self.proc.send_signal(signal.SIGINT)
+            try:
+                self.proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                self.proc.kill()
+                self.proc.wait()
+        self.proc.stdout.close()
+
+
 def read_phase(server, queries, with_writer):
     """16 readers (plus an optional background writer); returns
     (seconds, completed, writer_commits, errors)."""
@@ -162,7 +216,7 @@ def measure_mode(label, workers, queries, store_dir, writer, failures, run):
     store = os.path.join(store_dir, "bench-%s-%d.log" % (label, run))
     phases = (("pure", False),) if run == 0 else ()
     results = {}
-    with ServerThread(store=store, limit=READERS + 2, workers=workers) as server:
+    with SpawnedServer(store, workers, limit=READERS + 2) as server:
         for phase, with_writer in phases + (("under_writer", True),):
             elapsed, completed, commits, errors = read_phase(
                 server, queries, with_writer
@@ -176,7 +230,7 @@ def measure_mode(label, workers, queries, store_dir, writer, failures, run):
                 elapsed,
                 clients=READERS,
                 run=run,
-                workers=server.server.broker.workers,
+                workers=workers,
                 qps=round(qps, 1),
                 writer_commits=commits,
                 errors=len(errors),
@@ -192,12 +246,6 @@ def measure_mode(label, workers, queries, store_dir, writer, failures, run):
                 label, phase, run, completed, elapsed, qps, commits,
                 len(errors)))
     return results["under_writer"]
-
-
-def median_and_iqr(samples):
-    """The median and the interquartile range of ``samples``."""
-    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return median, q3 - q1
 
 
 def conflict_phase(writer, attempts, failures):
@@ -338,7 +386,9 @@ def main():
             "errors"))
         runs = {"serialized": [], "pooled": []}
         for run in range(PAIRS):
-            for label, workers in (("serialized", 1), ("pooled", None)):
+            for label, workers in (
+                ("serialized", 1), ("pooled", default_workers())
+            ):
                 runs[label].append(measure_mode(
                     label, workers, queries, store_dir, writer, failures, run
                 ))

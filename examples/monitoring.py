@@ -9,8 +9,9 @@ Drives the monitoring layer (``repro.obs.monitor`` +
 2. runs a burst of status lookups, sampling a monitor window per
    batch — counter rates and latency digests accumulate;
 3. trips the slow-query log: with the threshold dropped to 0 every
-   query is "slow", and an ``EXPLAIN ANALYZE`` run contributes the
-   estimate-drift column to the captured entry;
+   query is "slow"; each run leaves one wide event, and the ``EXPLAIN
+   ANALYZE`` run's est/act column holds its worst-drift node's
+   estimated and actual rows;
 4. runs the health probes: the tiny journal ring has been evicting
    events all along, so ``journal.drops`` reports *degraded* — and the
    verdict itself is journaled as a WARN event;

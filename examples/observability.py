@@ -6,7 +6,7 @@ own material:
 
 1. span-traces Figure 1's generalized join — both directly and as a
    DBPL program, whose parse/check/eval phases nest in the span tree;
-2. dumps the metrics registry: join fast-path hits/misses, pair counts,
+2. dumps the metrics registry: join calls, pairs tried and pruned,
    store appends — the always-on counters behind every benchmark's
    ``BENCH_<area>.json``;
 3. runs ``EXPLAIN ANALYZE`` on an optimized employee query, showing the
@@ -32,7 +32,6 @@ import tempfile
 from repro.core.flat import FlatRelation
 from repro.core.index import Catalog
 from repro.core.query import eq, explain_analyze, optimize, scan
-from repro.core.relation import join_with_fastpath
 from repro.lang import run_program
 from repro.lang.eval import Interpreter
 from repro.obs import events, export, metrics, profile, trace
@@ -48,13 +47,11 @@ def main():
     with trace.span("figure1.join", left=len(R1), right=len(R2)) as sp:
         joined = R1.join(R2)
         sp.annotate(rows_out=len(joined))
-    # The generalized fast path declines partial records (a miss) ...
-    join_with_fastpath(R1, R2)
-    # ... and fires on flat cochains (a hit).
+    # A flat cochain joins through the same partitioned kernel, which
+    # prunes the pair whose keys disagree without checking it.
     flat = FlatRelation(("K", "A"), [(1, 10), (2, 20)])
-    join_with_fastpath(
-        flat.to_generalized(),
-        FlatRelation(("K", "B"), [(1, 30)]).to_generalized(),
+    flat.to_generalized().join(
+        FlatRelation(("K", "B"), [(1, 30)]).to_generalized()
     )
 
     # The same figure as a DBPL program: its parse/check/eval phases

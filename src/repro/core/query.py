@@ -55,6 +55,7 @@ from repro.obs import metrics as _metrics
 from repro.obs import profile as _profile
 from repro.obs import slowlog as _slowlog
 from repro.obs import trace as _trace
+from repro.obs import wide as _wide
 from repro.stats import adaptive as _adaptive
 from repro.stats import feedback as _feedback
 from repro.stats.cost import CostModel
@@ -199,19 +200,17 @@ class Plan:
         a nested span carrying rows-in, rows-out, and elapsed wall time;
         with the profiler on, each operator's own wall time, rows, and
         join-pair counter deltas accumulate per label; with the
-        slow-query log on, the *outermost* execute is wall-clocked and
-        captured when it crosses the threshold (the plan text is only
-        rendered on the slow path).
+        slow-query log on, the run is wall-clocked and offered to it as
+        a ``plan`` wide event when it took at least the threshold (see
+        :func:`_offer_slow`).
         """
-        slowlog = _slowlog.CURRENT
-        if slowlog.enabled and slowlog.outermost():
-            with slowlog.measure(
-                "plan",
-                self.label,
-                lambda: _condensed_plan(self),
-            ):
-                return _walk(self, catalog)
-        return _walk(self, catalog)
+        if not _slowlog.CURRENT.enabled:
+            return _walk(self, catalog)
+        counters = _wide.counters_snapshot()
+        started = time.perf_counter()
+        result = _walk(self, catalog)
+        _offer_slow("plan", self, time.perf_counter() - started, counters)
+        return result
 
 
 @dataclass(frozen=True)
@@ -442,8 +441,8 @@ class ColumnarExec(Plan):
 
     Planted by :func:`optimize` (see :func:`_lower_columnar`) around a
     Scan/Select/Project/Join subtree whose inputs are flat relations —
-    all-ground, single-signature, exactly the shape the kernel's
-    fastpath already proves safe.  Executes the *whole* subtree on the
+    all-ground, single-signature, exactly the shape on which the
+    generalized join is the natural join.  Executes the *whole* subtree on the
     array kernels of :mod:`repro.core.columnar` — per-attribute value
     arrays, selection vectors, batch hash joins — and hands back a
     lazily materialized :class:`~repro.core.flat.FlatRelation`, so
@@ -489,9 +488,42 @@ def _relation(catalog, name: str) -> FlatRelation:
 
 def _condensed_plan(plan: Plan) -> str:
     """The :func:`explain` tree flattened to one ``|``-separated line —
-    what a slow-query entry stores as its plan summary."""
+    the query text of a slow plan's wide event."""
     return " | ".join(
         line.strip() for line in explain(plan).splitlines()
+    )
+
+
+def _offer_slow(
+    mode: str,
+    plan: Plan,
+    seconds: float,
+    counters: Mapping[str, int],
+    worst: Optional["NodeStats"] = None,
+) -> None:
+    """Offer a run outside any session to the slow-query log.
+
+    Builds the run's wide event — the condensed plan as its query, the
+    thread's request id, the watched-counter deltas since ``counters``
+    and, for EXPLAIN ANALYZE, the estimate and actual rows of the
+    ``worst``-drift node — only when ``seconds`` reaches the threshold,
+    so a fast run never renders plan text.
+    """
+    log = _slowlog.CURRENT
+    if seconds * 1000.0 < log.threshold_ms:
+        return
+    log.offer(
+        _wide.WideEvent(
+            request_id=_trace.current_request_id(),
+            session=None,
+            mode=mode,
+            query=_condensed_plan(plan),
+            ok=True,
+            elapsed_ms=seconds * 1000.0,
+            counters=_wide.counters_since(counters),
+            est_rows=worst.estimate if worst is not None else None,
+            act_rows=worst.rows_out if worst is not None else None,
+        )
     )
 
 
@@ -882,8 +914,8 @@ def _columnar_eligible(plan: Plan) -> bool:
     """Can the array kernels evaluate this whole subtree?
 
     Scans of flat relations qualify by construction (a FlatRelation is
-    all-ground over a single signature — the same property the
-    generalized kernel's fastpath detects); selections need a kernel
+    all-ground over a single signature — the shape
+    :func:`~repro.core.relation.flat_schema_of` detects); selections need a kernel
     operator, projections distinct attributes.  ``IndexScan`` stays
     row-wise: its probe is already sub-linear, so there is nothing to
     vectorize.
@@ -1365,23 +1397,16 @@ def explain_analyze(plan: Plan, catalog) -> str:
     ``query.estimate.max_drift`` gauge, so dashboards see the latest
     plan quality without parsing text.
     """
+    counters = (
+        _wide.counters_snapshot() if _slowlog.CURRENT.enabled else None
+    )
     __, stats = analyze(plan, catalog)
-    worst = max(node.drift_ratio for node in stats.walk())
-    _metrics.REGISTRY.gauge("query.estimate.max_drift").set(worst)
-    slowlog = _slowlog.CURRENT
-    if slowlog.enabled and slowlog.would_record(stats.total_seconds):
-        nodes = list(stats.walk())
-        slowlog.record(
-            "explain",
-            stats.label,
-            stats.total_seconds,
-            plan=_condensed_plan(plan),
-            drift=worst,
-            pairs_tried=sum(n.pairs_tried for n in nodes),
-            pairs_pruned=sum(n.pairs_pruned for n in nodes),
-        )
+    nodes = list(stats.walk())
+    worst = max(nodes, key=lambda n: n.drift_ratio)
+    _metrics.REGISTRY.gauge("query.estimate.max_drift").set(worst.drift_ratio)
+    if counters is not None:
+        _offer_slow("explain", plan, stats.total_seconds, counters, worst)
     if _events.CURRENT.enabled:
-        nodes = list(stats.walk())
         _events.publish(
             "INFO",
             "query",
@@ -1390,7 +1415,7 @@ def explain_analyze(plan: Plan, catalog) -> str:
             nodes=len(nodes),
             rows_out=stats.rows_out,
             total_ms=stats.total_seconds * 1000.0,
-            max_drift=worst,
+            max_drift=worst.drift_ratio,
             pairs_tried=sum(n.pairs_tried for n in nodes),
             pairs_pruned=sum(n.pairs_pruned for n in nodes),
             corrected=sum(1 for n in nodes if n.corrected),

@@ -36,7 +36,6 @@ from repro.core import cpo
 from repro.core import kernel as _kernel
 from repro.core.orders import PartialRecord, Value, from_python, leq
 from repro.errors import RelationError
-from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs import profile as _profile
 
@@ -381,76 +380,13 @@ def flat_schema_of(relation: GeneralizedRelation) -> Optional[Tuple[str, ...]]:
 def join_with_fastpath(
     left: GeneralizedRelation, right: GeneralizedRelation
 ) -> GeneralizedRelation:
-    """The generalized join, routed through the hash join when possible.
+    """The generalized join of ``left`` and ``right`` (``left.join(right)``).
 
-    When both operands are flat (see :func:`flat_schema_of`) the result
-    equals the classical natural join, so this computes it with
-    :meth:`~repro.core.flat.FlatRelation.natural_join` — a hash join —
-    and converts back.  An *empty* operand short-circuits to the empty
-    result (the join enumerates no pairs) and counts as a fast-path hit
-    — it never pays for the generic path.  Otherwise it falls back to
-    the generic join, itself now the signature-partitioned bucket kernel.
-    The E4 ablation quantifies the gap; results are always identical
-    (tested).
-
-    Fast-path coverage is measurable: every call increments either
-    ``relation.join_fastpath.hit`` or ``relation.join_fastpath.miss`` in
-    the global metrics registry.
+    DBPL's ``rjoin`` calls this name.  On flat operands the partitioned
+    kernel of :meth:`GeneralizedRelation.join` already is a hash join,
+    so no detour through :meth:`~repro.core.flat.FlatRelation.natural_join`
+    pays (E4); the two agree there (tested).
     """
-    from repro.core.flat import FlatRelation
-
-    if not left or not right:
-        _metrics.REGISTRY.counter("relation.join_fastpath.hit").inc()
-        if _events.CURRENT.enabled:
-            _events.CURRENT.publish(
-                "DEBUG", "kernel", "fastpath_hit",
-                reason="empty_operand", left=len(left), right=len(right),
-            )
-        return GeneralizedRelation()
-    left_schema = flat_schema_of(left)
-    right_schema = flat_schema_of(right)
-    if left_schema is not None and right_schema is not None:
-        _metrics.REGISTRY.counter("relation.join_fastpath.hit").inc()
-        if _events.CURRENT.enabled:
-            _events.CURRENT.publish(
-                "DEBUG", "kernel", "fastpath_hit",
-                reason="flat_operands", left=len(left), right=len(right),
-            )
-        flat_left = FlatRelation.from_generalized(left, left_schema)
-        flat_right = FlatRelation.from_generalized(right, right_schema)
-        profiler = _profile.CURRENT
-        if profiler.enabled:
-            # The hash join is still the generalized join semantically, so
-            # its work accumulates under the same "relation.join" label as
-            # the partitioned kernel's, with pair deltas read from the
-            # flat counters it advances.
-            registry = _metrics.REGISTRY
-            tried_before = registry.counter("flat.join.pairs_tried").value
-            pruned_before = registry.counter("flat.join.pairs_pruned").value
-            started = profiler.clock()
-            joined = flat_left.natural_join(flat_right)
-            profiler.record(
-                "relation.join",
-                profiler.clock() - started,
-                rows_out=len(joined),
-                pairs_tried=(
-                    registry.counter("flat.join.pairs_tried").value
-                    - tried_before
-                ),
-                pairs_pruned=(
-                    registry.counter("flat.join.pairs_pruned").value
-                    - pruned_before
-                ),
-            )
-        else:
-            joined = flat_left.natural_join(flat_right)
-        return joined.to_generalized()
-    _metrics.REGISTRY.counter("relation.join_fastpath.miss").inc()
-    if _events.CURRENT.enabled:
-        _events.CURRENT.publish(
-            "DEBUG", "kernel", "fastpath_miss",
-            left=len(left), right=len(right),
-        )
     return left.join(right)
 
 

@@ -29,7 +29,6 @@ from repro.lang import ast
 from repro.lang.checker import CheckEnv, check_program, resolve_type
 from repro.lang.parser import parse_program
 from repro.obs import metrics as _metrics
-from repro.obs import slowlog as _slowlog
 from repro.obs import trace as _trace
 from repro.persistence.mvcc import TransactionManager
 from repro.persistence.replicating import ReplicatingStore
@@ -420,18 +419,8 @@ class Interpreter:
         ill-typed program.  With tracing on, each run records a
         ``lang.run`` span with nested ``lang.parse``/``lang.check``/
         ``lang.eval`` phases (persistence and relation spans hang off
-        the eval phase).  With the slow-query log on, the outermost run
-        is wall-clocked and captured (kind ``"lang"``, a condensed
-        source snippet as the query text) when it crosses the
-        threshold.
+        the eval phase).
         """
-        slowlog = _slowlog.CURRENT
-        if slowlog.enabled and slowlog.outermost():
-            with slowlog.measure("lang", lambda: source):
-                return self._run(source)
-        return self._run(source)
-
-    def _run(self, source: str) -> RunResult:
         _metrics.REGISTRY.counter("lang.runs").inc()
         tracer = _trace.CURRENT
         if not tracer.enabled:
@@ -753,8 +742,8 @@ def _make_builtins(interp: Interpreter) -> Dict[str, Builtin]:
         return rel.insert(_record_to_domain(item))
 
     def rjoin(type_args, left, right):
-        # Route through the flat fast path: 1NF operands (and empty ones)
-        # take the hash join; everything else runs the partitioned kernel.
+        # Looked up at call time, so a wrapper installed on the module
+        # attribute (a timing harness) sees every rjoin.
         from repro.core.relation import join_with_fastpath
 
         return join_with_fastpath(left, right)

@@ -30,7 +30,7 @@ for ``extern``/``intern``).  Commands:
 * ``:requests [n]``  — show the last ``n`` wide events: one line per
   completed request with its id, mode, wall time, estimated vs actual
   rows, columnar batches, join pairs tried/pruned, and a SLOW flag
-  when the slow-query log captured it;
+  when the slow-query log kept it;
 * ``:stats``         — dump the metrics registry (``:stats reset``
   zeroes it); ``:stats <name>`` prints the column statistics collected
   by ``:analyze <name>``; ``:stats feedback`` prints the last
@@ -52,8 +52,11 @@ for ``extern``/``intern``).  Commands:
   integrity, heap commit lag, journal drop rate, adaptive hit rate,
   statistics staleness, server session pressure, transaction conflict
   rate) and print their ok/degraded/failing verdicts;
-* ``:slow [n]``      — show the slow-query log (``:slow on|off``
-  toggles it, ``:slow threshold <ms>`` sets the capture threshold);
+* ``:slow [n]``      — show the slow-query log: the wide events that
+  took at least the threshold, as ``:requests`` rows — every session
+  request (any mode) plus ``:explain`` runs (mode ``explain``, est/act
+  of the worst-drift node); ``:slow on|off`` toggles it, ``:slow
+  threshold <ms>`` sets the threshold;
 * ``:watch <seconds>`` — enable the monitor and refresh a rates/
   latency/gauges view once a second for ``seconds`` seconds;
 * ``:metrics [path]`` — dump the registry as OpenMetrics v1 text (to

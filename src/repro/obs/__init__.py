@@ -19,13 +19,14 @@ Above the recorder sits the *monitoring* layer:
   metrics registry (counter rates, gauge levels, latency quantiles per
   horizon), health probes with ok/degraded/failing verdicts, and
   OpenMetrics v1 text exposition for external scrapers;
-* :mod:`repro.obs.slowlog` — a bounded ring capturing every query that
-  exceeded a wall-time threshold, with plan summary, estimate drift,
-  pair counts, and exact request-id correlation;
-* :mod:`repro.obs.wide` — one wide event per completed session
-  request (query, outcome, wall time, watched-counter deltas, the
-  harvested span trees), kept in a bounded per-session ring — the
-  canonical record distributed tracing and ``:requests`` read.
+* :mod:`repro.obs.wide` — one wide event per completed unit of work
+  (query, outcome, wall time, watched-counter deltas, estimated vs
+  actual rows, the harvested span trees), kept in a bounded
+  per-session ring — the one record distributed tracing, ``:requests``
+  and ``:slow`` read;
+* :mod:`repro.obs.slowlog` — a threshold over those wide events: one
+  process-wide ring of the session requests, embedded plan runs and
+  EXPLAIN ANALYZE runs that took at least it.
 
 :mod:`repro.obs.export` serializes spans, journal, and metrics to
 JSONL and to Chrome ``chrome://tracing`` / Perfetto trace files, so any
@@ -88,7 +89,6 @@ from repro.obs.monitor import (
 )
 from repro.obs.slowlog import (
     SlowLog,
-    SlowQueryEntry,
     slowlog_report,
 )
 from repro.obs.wide import (
@@ -129,7 +129,6 @@ __all__ = [
     "render_openmetrics",
     "write_metrics_snapshot",
     "SlowLog",
-    "SlowQueryEntry",
     "slowlog_report",
     "RequestLog",
     "WideEvent",

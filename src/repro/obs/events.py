@@ -9,7 +9,6 @@ layers publish into:
 
 * ``trace``       — every closed span (name, elapsed, tags);
 * ``query``       — ``optimize()`` runs, ``explain_analyze`` drift;
-* ``kernel``      — generalized-join fast-path hits and misses;
 * ``stats``       — automatic re-analyze decisions;
 * ``store``       — log replays, torn records, checksum failures (WARN);
 * ``heap``        — intrinsic commits: reachability-sweep size,
@@ -19,7 +18,8 @@ layers publish into:
 * ``image``       — all-or-nothing saves and resumes;
 * ``txn``         — MVCC transaction begins, commits, conflicts,
   aborts, and vacuums;
-* ``slowlog``     — WARN events for queries over the slow threshold;
+* ``slowlog``     — WARN events for wide events at or over the slow
+  threshold (the event's fields plus ``threshold_ms``);
 * ``health``      — WARN events for probes that are not ok;
 * ``server``      — listening, sessions opening and closing, rejected
   connections, idle timeouts, per-request and transaction events,

@@ -91,8 +91,7 @@ class Span:
 
     def __init__(self, name: str, tags: Optional[Dict[str, object]] = None):
         self.name = name
-        # A process-wide monotone id; the slow-query log records it so a
-        # slowlog entry can be matched to its span in an exported trace.
+        # A process-wide monotone id.
         self.seq = next(Span._SEQ)
         self.tags: Dict[str, object] = dict(tags) if tags else {}
         self.elapsed: Optional[float] = None
@@ -184,7 +183,6 @@ class _OpenSpan:
                 if tracer.enabled:  # not switched off since span()
                     tracer.roots.append(span_obj)
         tracer._stack.append(span_obj)
-        tracer.last_span = span_obj
         span_obj._started = tracer._clock()
         return span_obj
 
@@ -241,10 +239,6 @@ class Tracer:
         self.roots: List[Span] = []
         self._roots_lock = threading.Lock()
         self._local = threading.local()
-        # The most recently *opened* span (even after it closes) — the
-        # slow-query log reads its ``seq`` as a best-effort correlation
-        # id between a slowlog entry and the trace it belongs to.
-        self.last_span: Optional[Span] = None
 
     @property
     def _stack(self) -> List[Span]:
@@ -263,7 +257,6 @@ class Tracer:
         """Drop all recorded spans (open spans keep recording)."""
         with self._roots_lock:
             self.roots = []
-        self.last_span = None
 
     def harvest_request(self, request_id: str) -> List[Span]:
         """Claim (remove and return) the closed root spans of one

@@ -7,12 +7,17 @@ responder might need, keyed by one request id.  Here that unit is a
 text, mode, outcome, elapsed wall time, the per-request span trees the
 tracer harvested, the deltas of the kernel/columnar/optimizer counters
 that fired while the request ran, the optimizer's estimated-vs-actual
-row counts from the feedback log, and whether the slow-query log
-tripped for the same ``request_id``.
+row counts from the feedback log, and whether the slow-query log kept
+it.  Outside a session, a ``Plan.execute`` or EXPLAIN ANALYZE run that
+takes at least the slow-query threshold gets one too (mode ``plan`` or
+``explain``, the condensed plan as its query).
 
 Sessions keep their wide events in a bounded :class:`RequestLog` ring,
 browsable at the REPL via ``:requests [n]`` (local or remote — the
-record is plain data and travels in ``obs`` frames).
+record is plain data and travels in ``obs`` frames).  The slow-query
+log (:mod:`repro.obs.slowlog`) is one more ring of the same objects:
+the events at or over its threshold, so a request's ``:slow`` row is
+its ``:requests`` row.
 
 Counter deltas are the counters that moved while the request ran.
 The server broker runs requests on a pool of worker threads, so under
@@ -26,7 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.obs import metrics as _metrics
 
@@ -34,6 +39,8 @@ __all__ = [
     "WideEvent",
     "RequestLog",
     "counters_snapshot",
+    "counters_since",
+    "format_table",
     "WATCHED_COUNTERS",
 ]
 
@@ -43,7 +50,7 @@ _TEXT_CAP = 200
 
 # The counter families whose per-request deltas a wide event records.
 # Each entry is (field name, metric names summed into it) — e.g. pair
-# counts add the generalized-kernel and flat-fastpath variants.
+# counts add the generalized kernel's and the flat hash join's.
 WATCHED_COUNTERS = (
     ("batches", ("columnar.batches",)),
     ("batch_rows", ("columnar.rows",)),
@@ -75,8 +82,20 @@ def counters_snapshot() -> Dict[str, int]:
     }
 
 
+def counters_since(before: Mapping[str, int]) -> Dict[str, int]:
+    """How far each watched counter moved since the ``before``
+    :func:`counters_snapshot`."""
+    after = counters_snapshot()
+    return {field: after[field] - before.get(field, 0) for field in after}
+
+
 class WideEvent:
-    """Everything known about one completed request, in one record."""
+    """Everything known about one completed request, in one record.
+
+    ``request_id`` is ``None`` for a plan run outside any request, and
+    ``session`` for a run outside any session.  ``slow`` is set when
+    the slow-query log keeps the event.
+    """
 
     __slots__ = (
         "request_id",
@@ -91,13 +110,13 @@ class WideEvent:
         "counters",
         "est_rows",
         "act_rows",
-        "slow_ms",
+        "slow",
     )
 
     def __init__(
         self,
-        request_id: str,
-        session: str,
+        request_id: Optional[str],
+        session: Optional[str],
         mode: str,
         query: str,
         ok: bool,
@@ -107,7 +126,6 @@ class WideEvent:
         counters: Optional[Dict[str, int]] = None,
         est_rows: Optional[float] = None,
         act_rows: Optional[int] = None,
-        slow_ms: Optional[float] = None,
         wall: Optional[float] = None,
     ):
         self.request_id = request_id
@@ -127,13 +145,7 @@ class WideEvent:
         }
         self.est_rows = est_rows
         self.act_rows = act_rows
-        # Wall-time of the matching slow-query entry (None = the
-        # slowlog did not trip for this request).
-        self.slow_ms = slow_ms
-
-    @property
-    def slow(self) -> bool:
-        return self.slow_ms is not None
+        self.slow = False
 
     def to_dict(self, spans: bool = True) -> Dict[str, object]:
         """A JSON-safe dict (set ``spans=False`` to drop the trees)."""
@@ -149,7 +161,6 @@ class WideEvent:
             "est_rows": self.est_rows,
             "act_rows": self.act_rows,
             "slow": self.slow,
-            "slow_ms": self.slow_ms,
         }
         record.update(self.counters)
         if spans:
@@ -158,14 +169,14 @@ class WideEvent:
         return record
 
     def format(self) -> str:
-        """One table row (pair with :data:`REPORT_HEADER`)."""
+        """One table row (see :func:`format_table`)."""
         if self.est_rows is not None and self.act_rows is not None:
             rows_text = "%.0f/%d" % (self.est_rows, self.act_rows)
         else:
             rows_text = "-"
         counters = self.counters
-        return "%-14s %-4s %9.3f %-3s %11s %7d %9d/%-9d %4d %s%s" % (
-            self.request_id[:14],
+        return "%-14s %-7s %9.3f %-3s %11s %7d %9d/%-9d %4d %s%s" % (
+            (self.request_id or "-")[:14],
             self.mode,
             self.elapsed_ms,
             "ok" if self.ok else "ERR",
@@ -186,7 +197,7 @@ class WideEvent:
         )
 
 
-REPORT_HEADER = "%-14s %-4s %9s %-3s %11s %7s %9s/%-9s %4s %s" % (
+REPORT_HEADER = "%-14s %-7s %9s %-3s %11s %7s %9s/%-9s %4s %s" % (
     "request",
     "mode",
     "ms",
@@ -200,12 +211,17 @@ REPORT_HEADER = "%-14s %-4s %9s %-3s %11s %7s %9s/%-9s %4s %s" % (
 )
 
 
+def format_table(events: List[WideEvent]) -> str:
+    """The ``:requests`` table of ``events`` (the ``:slow`` rows too)."""
+    return "\n".join([REPORT_HEADER] + [event.format() for event in events])
+
+
 class RequestLog:
     """A bounded, thread-safe ring of :class:`WideEvent` records.
 
-    One per session.  ``capacity`` bounds memory like the event
-    journal's ring does; ``total`` keeps counting past evictions so
-    ``:requests`` can say how many were dropped.
+    One per session, plus the slow-query log's.  ``capacity`` bounds
+    memory like the event journal's ring does; ``total`` keeps counting
+    past evictions so ``:requests`` can say how many were dropped.
     """
 
     def __init__(self, capacity: int = 64):
@@ -228,6 +244,11 @@ class RequestLog:
             items = list(self._events)
         return items[-count:] if count > 0 else []
 
+    def clear(self) -> None:
+        """Drop the retained events (``total`` keeps counting)."""
+        with self._lock:
+            self._events.clear()
+
     def find(self, request_id: str) -> Optional[WideEvent]:
         """The retained event with this exact ``request_id`` (or None)."""
         with self._lock:
@@ -240,8 +261,7 @@ class RequestLog:
         recent = self.last(count)
         if not recent:
             return "(no requests recorded)"
-        lines = [REPORT_HEADER]
-        lines.extend(event.format() for event in recent)
+        lines = [format_table(recent)]
         with self._lock:
             dropped = self.total - len(self._events)
         if dropped > 0:

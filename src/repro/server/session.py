@@ -14,10 +14,10 @@ wire protocol:
   ``type`` / ``ast``), returning the formatted value and output lines.
   Every run executes under a ``request_id`` (the client's trace
   context, or a minted ``<session>-r<n>``): span trees grown on the
-  global tracer are harvested out under that id, slowlog entries
-  recorded during the run carry it exactly, and the completed request
-  lands as one *wide event* in the session's bounded
-  :class:`~repro.obs.wide.RequestLog`;
+  global tracer are harvested out under that id, and the completed
+  request lands as one *wide event* in the session's bounded
+  :class:`~repro.obs.wide.RequestLog` — the same object the slow-query
+  log keeps when the request took at least its threshold;
 * :meth:`Session.stat` — the observability surface behind ``:stats``,
   ``:health``, ``:watch``, ``:metrics``, ``:slow``, ``:events``,
   ``:adaptive``, ``:columnar``, ``:analyze``, ``:explain``,
@@ -93,6 +93,23 @@ STAT_KINDS = frozenset(
 # journal slices, wide events — so a remote ``:export`` can merge them
 # into one trace file instead of scraping tables.
 OBS_KINDS = frozenset({"spans", "profile", "journal", "requests"})
+
+# The stat/obs arguments that size a table or a slice.  A frame may send
+# anything there, so they are checked once, before dispatch: a malformed
+# one is the client's error, not an internal one.
+_COUNT_ARGS = ("count", "top")
+
+
+def _checked_counts(args: Dict[str, object]) -> Dict[str, object]:
+    for name in _COUNT_ARGS:
+        if name in args:
+            try:
+                args[name] = int(args[name])
+            except (TypeError, ValueError, OverflowError):
+                raise EvalError(
+                    "%s must be a whole number, not %r" % (name, args[name])
+                ) from None
+    return args
 
 
 class Session:
@@ -183,16 +200,16 @@ class Session:
         ``request_id`` is the caller's trace context (a remote client
         stamps its ``run`` frames); absent one the session mints
         ``<session>-r<n>``.  The id is installed as the thread's
-        request context for the duration (exact slowlog correlation),
-        any span trees the run grew on the global tracer are harvested
-        out under it, and the whole request lands in the session's
-        :class:`~repro.obs.wide.RequestLog` as one wide event.
+        request context for the duration, any span trees the run grew
+        on the global tracer are harvested out under it, and the whole
+        request lands in the session's
+        :class:`~repro.obs.wide.RequestLog` as one wide event, which is
+        also offered to the slow-query log.
         """
         self._touch()
         if request_id is None:
             request_id = "%s-r%d" % (self.session_id, self.requests)
         counters_before = _wide.counters_snapshot()
-        slow_before = _slowlog.CURRENT.total
         previous_request = _trace.set_request_id(request_id)
         started = time.perf_counter()
         try:
@@ -213,7 +230,7 @@ class Session:
             roots = self._harvest_spans(request_id)
             self._record_request(
                 request_id, mode, source, False, str(exc), elapsed,
-                roots, counters_before, slow_before,
+                roots, counters_before,
             )
             raise
         elapsed = time.perf_counter() - started
@@ -221,7 +238,7 @@ class Session:
         roots = self._harvest_spans(request_id)
         self._record_request(
             request_id, mode, source, True, None, elapsed,
-            roots, counters_before, slow_before,
+            roots, counters_before,
         )
         reply["elapsed"] = elapsed
         reply["request_id"] = request_id
@@ -258,14 +275,10 @@ class Session:
         elapsed: float,
         roots,
         counters_before: Dict[str, int],
-        slow_before: int,
     ) -> None:
-        """Fold one completed run into the wide-event request log."""
-        counters_after = _wide.counters_snapshot()
-        deltas = {
-            field: counters_after[field] - counters_before.get(field, 0)
-            for field in counters_after
-        }
+        """Fold one completed run into the wide-event request log and
+        offer the event to the slow-query log."""
+        deltas = _wide.counters_since(counters_before)
         # The optimizer's last feedback observation, when this request
         # produced one, supplies estimated-vs-actual row counts.
         est_rows = act_rows = None
@@ -274,14 +287,6 @@ class Session:
             if recent:
                 est_rows = recent[0].estimate
                 act_rows = recent[0].rows_out
-        # Exact slowlog correlation: entries recorded during this run
-        # carry our request id (via the thread's request context).
-        slow_ms = None
-        log = _slowlog.CURRENT
-        if log.enabled and log.total > slow_before:
-            tripped = log.for_request(request_id)
-            if tripped:
-                slow_ms = max(entry.elapsed_ms for entry in tripped)
         event = _wide.WideEvent(
             request_id=request_id,
             session=self.session_id,
@@ -294,9 +299,9 @@ class Session:
             counters=deltas,
             est_rows=est_rows,
             act_rows=act_rows,
-            slow_ms=slow_ms,
         )
         self.request_log.append(event)
+        _slowlog.CURRENT.offer(event)
         _metrics.REGISTRY.counter("session.requests").inc()
         if roots:
             _metrics.REGISTRY.counter("session.requests.traced").inc()
@@ -309,7 +314,7 @@ class Session:
                 mode=mode,
                 ok=ok,
                 ms=round(elapsed * 1000.0, 3),
-                slow=slow_ms is not None,
+                slow=event.slow,
             )
 
     def _run_eval(self, source: str) -> Dict[str, object]:
@@ -390,7 +395,7 @@ class Session:
         handler = getattr(self, "_stat_%s" % kind, None)
         if kind not in STAT_KINDS or handler is None:
             raise EvalError("unknown stat kind %r" % (kind,))
-        return handler(**args)
+        return handler(**_checked_counts(args))
 
     def _stat_stats(self, target: str = "", **__) -> Dict[str, object]:
         target = str(target).strip()
@@ -463,7 +468,7 @@ class Session:
                 )
             _slowlog.enable(threshold_ms=threshold_ms)
             return {"text": "slow threshold %.1fms" % threshold_ms}
-        return {"text": _slowlog.slowlog_report(int(count))}
+        return {"text": _slowlog.slowlog_report(count)}
 
     def _stat_watch(self, horizon: Optional[float] = None, **__) -> Dict[str, object]:
         monitor = _monitor.enable()
@@ -490,7 +495,7 @@ class Session:
         if not journal.enabled:
             return {"text": "journal is off — :events on"}
         source = self.journal if mine else journal
-        recent = source.events(int(count))
+        recent = source.events(count)
         if not recent:
             return {"text": "(journal is empty)"}
         return {"text": "\n".join(event.format() for event in recent)}
@@ -548,10 +553,10 @@ class Session:
         if action == "off":
             _profile.disable()
             return {"text": "profiling off"}
-        return {"text": _profile.profile_report(int(top))}
+        return {"text": _profile.profile_report(top)}
 
     def _stat_requests(self, count: int = 10, **__) -> Dict[str, object]:
-        return {"text": self.request_log.format(int(count))}
+        return {"text": self.request_log.format(count)}
 
     def _stat_sessions(self, **__) -> Dict[str, object]:
         if self.broker is None:
@@ -575,7 +580,7 @@ class Session:
         handler = getattr(self, "_obs_%s" % what, None)
         if what not in OBS_KINDS or handler is None:
             raise EvalError("unknown obs kind %r" % (what,))
-        return handler(**args)
+        return handler(**_checked_counts(args))
 
     def _obs_spans(self, count: int = 32, **__) -> Dict[str, object]:
         """Per-request span trees of the most recent traced requests.
@@ -585,7 +590,7 @@ class Session:
         sanity-check its offset estimate.
         """
         requests = []
-        for event in self.request_log.last(int(count)):
+        for event in self.request_log.last(count):
             if event.spans:
                 requests.append(
                     {
@@ -602,7 +607,7 @@ class Session:
     def _obs_profile(self, top: int = 0, **__) -> Dict[str, object]:
         ops = _profile.CURRENT.snapshot()
         if top:
-            ops = ops[: int(top)]
+            ops = ops[:top]
         return {
             "session": self.session_id,
             "enabled": bool(_profile.CURRENT.enabled),
@@ -613,7 +618,7 @@ class Session:
         return {
             "session": self.session_id,
             "events": [
-                event.to_dict() for event in self.journal.events(int(count))
+                event.to_dict() for event in self.journal.events(count)
             ],
         }
 
@@ -624,7 +629,7 @@ class Session:
             "session": self.session_id,
             "requests": [
                 event.to_dict(spans=bool(spans))
-                for event in self.request_log.last(int(count))
+                for event in self.request_log.last(count)
             ],
         }
 

@@ -137,29 +137,28 @@ class TestSlowCommand:
         repl.handle(":slow")
         report = lines[-1]
         assert "slow queries (threshold 0.0ms" in report
-        assert "lang" in report
-        assert "6 * 7" in report
+        assert "local-r" in report and " eval " in report
+        assert "SLOW 6 * 7" in report
 
     def test_explain_entry_carries_plan_drift(self, repl_session):
         """Acceptance: a forced-slow ``:explain`` records an entry whose
-        drift column shows the estimate-vs-actual ratio."""
+        est/act column shows the worst-drift node's estimate and rows."""
         slowlog.disable()
         repl, lines = repl_session
         repl.handle(EMP_SOURCE)
-        repl.handle(":analyze emp")
         repl.handle(":slow threshold 0")
         repl.handle(':explain rmatch(emp, {Dept = "Manuf"})')
-        explains = [
-            e for e in slowlog.CURRENT.entries() if e.kind == "explain"
-        ]
+        # No statistics: the select guesses 1 row and finds 2.
+        assert "drift: max=2.00x (Select[Dept == 'Manuf'])" in lines[-1]
+        explains = [e for e in slowlog.CURRENT.last() if e.mode == "explain"]
         assert len(explains) == 1
-        assert explains[0].drift == pytest.approx(1.0)
+        assert (explains[0].est_rows, explains[0].act_rows) == (1.0, 2)
         repl.handle(":slow")
         report_rows = [
-            line for line in lines[-1].splitlines() if "explain" in line
+            line for line in lines[-1].splitlines() if " explain " in line
         ]
         assert len(report_rows) == 1
-        assert "1.00" in report_rows[0]
+        assert " 1/2 " in report_rows[0]
 
     def test_slow_n_limits_the_table(self, repl_session):
         slowlog.disable()

@@ -216,14 +216,25 @@ class TestDisabledPathCost:
     ):
         """The `if CURRENT.enabled:` guard must keep publish un-called."""
         from repro.core.flat import FlatRelation
-        from repro.core.relation import join_with_fastpath
+        from repro.core.query import explain_analyze, optimize, scan
 
-        events.disable()
+        catalog = {
+            "l": FlatRelation(("A", "B"), [(1, 2)]),
+            "r": FlatRelation(("B", "C"), [(2, 3)]),
+        }
+        plan = scan("l").join(scan("r"))
         calls = []
         monkeypatch.setattr(
             events.CURRENT, "publish", lambda *a, **k: calls.append(a)
         )
-        left = FlatRelation(("A", "B"), [(1, 2)]).to_generalized()
-        right = FlatRelation(("B", "C"), [(2, 3)]).to_generalized()
-        join_with_fastpath(left, right)
+
+        def run():
+            explain_analyze(optimize(plan, catalog), catalog)
+
+        events.disable()
+        run()
         assert calls == []
+        events.enable()
+        run()  # the same call sites publish once the journal is on
+        assert ("INFO", "query", "optimize") in calls
+        assert ("INFO", "query", "explain_analyze") in calls

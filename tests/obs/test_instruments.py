@@ -19,6 +19,7 @@ import pytest
 
 from repro.obs import events, monitor, profile, slowlog, trace
 from repro.obs.metrics import REGISTRY
+from repro.obs.wide import WideEvent
 from repro.server.session import Session
 
 
@@ -28,7 +29,7 @@ def names(spans):
 
 class TraceCase:
     module = trace
-    empty = ([], [], [], [], False)
+    empty = ([], [], [], [])
     # An off tracer hands out one shared do-nothing span.
     off_answers = ("tracing is off", True)
     settings = ()
@@ -52,7 +53,6 @@ class TraceCase:
             names(tracer.spans()),
             names(tracer.find("probe")),
             tracer.harvest_request("no-such-request"),
-            tracer.last_span is not None,
         )
 
     def answers(self):
@@ -131,10 +131,14 @@ class ProfileCase:
         return ()
 
 
+def wide_event(query, request_id="r1"):
+    return WideEvent(request_id, "s01", "eval", query, True, 0.5)
+
+
 class SlowlogCase:
     module = slowlog
-    empty = ([], [], 0, 0)
-    off_answers = ("(slow-query log is off — :slow on)", False, False)
+    empty = ([], None, 0, 0)
+    off_answers = ("(slow-query log is off — :slow on)",)
     settings = (0.0, 3)
 
     def enable(self):
@@ -142,31 +146,27 @@ class SlowlogCase:
 
     def record(self):
         log = slowlog.CURRENT
-        with log.measure("plan", "measured"):
-            pass
-        return log.record("plan", "probe", 0.5, request="r1")
+        log.offer(wide_event("offered", request_id="r0"))
+        return log.offer(wide_event("probe"))
 
     @contextlib.contextmanager
     def in_flight(self):
-        with slowlog.CURRENT.measure("plan", "in-flight"):
-            yield
+        log = slowlog.CURRENT  # a session read the log ...
+        yield
+        log.offer(wide_event("in-flight"))  # ... and offers its event
 
     def reads(self):
         log = slowlog.CURRENT
+        probe = log.find("r1")
         return (
-            [(entry.seq, entry.query) for entry in log.entries()],
-            [entry.query for entry in log.for_request("r1")],
+            [event.query for event in log.last()],
+            probe.query if probe is not None else None,
             len(log),
             log.total,
         )
 
     def answers(self):
-        log = slowlog.CURRENT
-        return (
-            slowlog.slowlog_report(),
-            log.outermost(),
-            log.would_record(1.0),
-        )
+        return (slowlog.slowlog_report(),)
 
     def current_settings(self):
         return (slowlog.CURRENT.threshold_ms, slowlog.CURRENT.capacity)

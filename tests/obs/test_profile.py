@@ -180,8 +180,8 @@ class TestPlanAttribution:
         assert join.pairs_tried + join.pairs_pruned > 0
 
     def test_flat_fastpath_join_records_relation_join(self):
-        # The REPL's rjoin on 1NF operands takes the hash-join fast
-        # path; its work must still show up under "relation.join".
+        # The REPL's rjoin on 1NF operands runs the partitioned kernel;
+        # its work shows up under "relation.join".
         profiler = profile.enable()
         profiler.clear()
         left = FlatRelation(("K", "A"), [(i, i) for i in range(4)])

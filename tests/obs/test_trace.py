@@ -112,7 +112,6 @@ class TestNoOpTracer:
         assert tracer.spans() == []
         assert tracer.find("anything") == []
         assert list(tracer.roots) == []
-        assert tracer.last_span is None
 
     def test_span_is_the_shared_singleton(self):
         # The disabled path allocates nothing per call.

@@ -3,6 +3,7 @@
 import json
 
 from repro.obs import metrics
+from repro.obs.slowlog import SlowLog
 from repro.obs.wide import (
     REPORT_HEADER,
     RequestLog,
@@ -49,9 +50,12 @@ class TestWideEvent:
         event = make_event(query="x" * 1000)
         assert len(event.query) == 200
 
-    def test_slow_property_follows_slow_ms(self):
-        assert not make_event().slow
-        assert make_event(slow_ms=120.0).slow
+    def test_slow_flag_is_set_by_the_slow_log(self):
+        event = make_event(elapsed_ms=120.0)
+        assert not event.slow and not event.to_dict()["slow"]
+        assert SlowLog(threshold_ms=100.0).offer(event) is event
+        assert event.slow and event.to_dict()["slow"]
+        assert "slow_ms" not in event.to_dict()
 
     def test_to_dict_flattens_counters_and_is_json_safe(self):
         event = make_event(
@@ -69,7 +73,9 @@ class TestWideEvent:
         assert "spans" not in event.to_dict(spans=False)
 
     def test_format_row_flags_failures_and_slowness(self):
-        row = make_event(ok=False, error="boom", slow_ms=50.0).format()
+        event = make_event(ok=False, error="boom")
+        event.slow = True
+        row = event.format()
         assert "ERR" in row
         assert "SLOW" in row
         assert "6 * 7" in row

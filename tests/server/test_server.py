@@ -433,3 +433,54 @@ class TestHealthOverTheWire:
                     name.startswith("server_requests")
                     for name in parsed["counters"]
                 )
+
+    def test_slow_row_is_the_requests_row(self):
+        with ServerThread() as server:
+            with Client(server.host, server.port) as client:
+                client.stat("slow", action="threshold", threshold=0)
+                for mode in ("eval", "type", "ast"):
+                    client.run("40 + 2", mode=mode)
+                (event,) = client.obs("requests", count=1)["requests"]
+                slow = client.stat("slow", count=1)["text"].splitlines()
+                requests = client.stat("requests", count=1)["text"]
+                client.stat("slow", action="off")
+        assert event["request_id"] == client.last_request_id
+        assert (event["mode"], event["slow"]) == ("ast", True)
+        # One record: the same id and the same elapsed_ms in both rings.
+        assert slow[-1] == requests.splitlines()[-1]
+        assert slow[-1].startswith(event["request_id"])
+        assert "%.3f" % event["elapsed_ms"] in slow[-1]
+
+
+# Every stat and obs argument that sizes a table or slice, by kind.
+COUNT_ARGUMENTS = [
+    ("stat", "slow", "count"),
+    ("stat", "events", "count"),
+    ("stat", "profile", "top"),
+    ("stat", "requests", "count"),
+    ("obs", "spans", "count"),
+    ("obs", "profile", "top"),
+    ("obs", "journal", "count"),
+    ("obs", "requests", "count"),
+]
+
+
+class TestMalformedCountsOverTheWire:
+    @pytest.mark.parametrize(
+        "frame, kind, argument",
+        COUNT_ARGUMENTS,
+        ids=["%s-%s" % (frame, kind) for frame, kind, __ in COUNT_ARGUMENTS],
+    )
+    def test_malformed_count_is_a_client_error(self, frame, kind, argument):
+        with ServerThread() as server:
+            with Client(server.host, server.port) as client:
+                request = getattr(client, frame)
+                for bad in ("abc", None, [3]):
+                    with pytest.raises(RemoteError) as info:
+                        request(kind, **{argument: bad})
+                    assert info.value.kind == "EvalError"
+                    assert str(info.value).startswith(
+                        "%s must be a whole number" % argument
+                    )
+                assert request(kind, **{argument: "2"})["type"] == frame
+                assert client.run("1")["value"] == "1"
