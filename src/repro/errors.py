@@ -77,10 +77,6 @@ class TypeSystemError(ReproError):
     """Base class for errors raised by the type system."""
 
 
-class SubtypeError(TypeSystemError):
-    """Raised when a required subtype relationship does not hold."""
-
-
 class CoercionError(TypeSystemError):
     """Raised by ``coerce`` when a Dynamic's carried type does not match.
 
@@ -105,10 +101,6 @@ class TypeCheckError(TypeSystemError):
         if location is not None:
             message = "%s (at %s)" % (message, location)
         super().__init__(message)
-
-
-class UnificationError(TypeSystemError):
-    """Raised when two type expressions cannot be unified."""
 
 
 class UnknownTypeError(TypeSystemError):
@@ -147,10 +139,6 @@ class StoreCorruptError(PersistenceError):
 
 class SerializationError(PersistenceError):
     """Raised when a value cannot be serialized or deserialized."""
-
-
-class StaleReadError(PersistenceError):
-    """Raised on reads through a handle whose namespace was aborted."""
 
 
 class SchemaEvolutionError(PersistenceError):

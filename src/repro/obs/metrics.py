@@ -116,7 +116,7 @@ class Histogram:
     """A latency histogram: count/sum/min/max plus bounded raw samples.
 
     Keeps the most recent ``sample_cap`` observations in a ring so
-    :meth:`percentile` stays exact on short runs and approximate (recent
+    :meth:`quantile` stays exact on short runs and approximate (recent
     window) on long ones, without unbounded memory.
     """
 
@@ -157,15 +157,6 @@ class Histogram:
         """The mean observation (0.0 when empty)."""
         return self.total / self.count if self.count else 0.0
 
-    def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (0–100) of the retained samples."""
-        with self._lock:
-            ordered = sorted(self._samples)
-        if not ordered:
-            return 0.0
-        rank = max(0, min(len(ordered) - 1, int(q / 100.0 * len(ordered))))
-        return ordered[rank]
-
     def quantile(self, q: float) -> float:
         """The ``q``-quantile (0.0–1.0) of the retained samples.
 
@@ -173,8 +164,8 @@ class Histogram:
         smallest retained sample, ``q=1.0`` the largest, and an empty
         histogram answers ``0.0`` (a scrape of a quiet metric should
         expose a number, not raise).  This is the accessor the monitor's
-        per-window digests (p50/p95/p99) and the OpenMetrics summary
-        exposition read.
+        per-window digests (p50/p95/p99), the OpenMetrics summary
+        exposition and :meth:`snapshot` read.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1], got %r" % (q,))
@@ -208,8 +199,8 @@ class Histogram:
             "min": self.min,
             "max": self.max,
             "mean": self.mean,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
+            "p50": self.quantile(0.5),
+            "p95": self.quantile(0.95),
         }
 
     def __repr__(self) -> str:

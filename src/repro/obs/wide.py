@@ -6,11 +6,12 @@ responder might need, keyed by one request id.  Here that unit is a
 :meth:`Session.run <repro.server.session.Session.run>` call: the query
 text, mode, outcome, elapsed wall time, the per-request span trees the
 tracer harvested, the deltas of the kernel/columnar/optimizer counters
-that fired while the request ran, the optimizer's estimated-vs-actual
-row counts from the feedback log, and whether the slow-query log kept
+that fired while the request ran, and whether the slow-query log kept
 it.  Outside a session, a ``Plan.execute`` or EXPLAIN ANALYZE run that
 takes at least the slow-query threshold gets one too (mode ``plan`` or
-``explain``, the condensed plan as its query).
+``explain``, the condensed plan as its query); only these carry
+estimated and actual rows, those of the plan's worst-drift node, since
+a DBPL request never consults the planner.
 
 Sessions keep their wide events in a bounded :class:`RequestLog` ring,
 browsable at the REPL via ``:requests [n]`` (local or remote — the

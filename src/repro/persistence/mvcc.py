@@ -25,7 +25,13 @@ programs can run against one store at once:
   changed root bindings are merged onto the newest committed root
   table, so concurrent commits on disjoint roots all land.
 
-Two flavours share the epoch/conflict machinery:
+Two layers version different things on one core, a :class:`_Clock`
+each: the epoch counter, the transaction ids, the open snapshots and
+their *horizon* (the oldest open snapshot, or the current epoch when
+none is open), and the write set of every epoch above the horizon —
+the only epochs an open transaction can still validate against.  Both
+histories are therefore bounded by the horizon, trimmed whenever a
+transaction ends or re-pins.
 
 * :class:`MVCCHeap` / :class:`HeapTransaction` — version chains for the
   intrinsic object heap itself (roots, PObject graphs, sharing, cycles);
@@ -37,18 +43,19 @@ Two flavours share the epoch/conflict machinery:
   Only the manager reads or writes those keys; interpreters reach it
   through a :class:`~repro.persistence.replicating.ReplicatingStore`.
 
-Both emit ``txn.{begin,commit,abort,conflict}`` metrics and journal
-events under the ``txn`` subsystem; the ``txn.conflict_rate`` health
-probe (:mod:`repro.obs.monitor`) watches the conflict fraction.
+Both count and journal ``txn.{begin,commit,abort,conflict}`` under the
+``txn`` subsystem; the ``txn.conflict_rate`` health probe
+(:mod:`repro.obs.monitor`) watches the conflict fraction.
 See TRANSACTIONS.md for the isolation model and worked examples.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from bisect import bisect_left, bisect_right
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
@@ -74,9 +81,82 @@ def _ver_key(oid: int, epoch: int) -> str:
     return "%s%d:%d" % (_VER_PREFIX, oid, epoch)
 
 
-def _journal(severity: str, name: str, **payload: object) -> None:
+def _count(severity: str, name: str, **payload: object) -> None:
+    """Count ``txn.<name>`` and journal it under the ``txn`` subsystem."""
+    _metrics.REGISTRY.counter("txn." + name).inc()
     if _events.CURRENT.enabled:
         _events.CURRENT.publish(severity, "txn", name, **payload)
+
+
+class _Clock:
+    """One layer's epochs, open snapshots and write-set history.
+
+    An epoch's *write set* is a tuple of sets, one per kind of thing
+    the layer versions.  The history holds ``(epoch, write set)`` for
+    every epoch above the *horizon* — the oldest open snapshot, or the
+    current epoch when no transaction is open — oldest first: exactly
+    the epochs an open transaction may still have to validate against.
+    Ending or re-pinning a transaction trims it.  The owning layer calls
+    every method under its own lock.
+    """
+
+    def __init__(self, epoch: int = 0):
+        self.epoch = epoch
+        self.snapshots: Dict[int, int] = {}  # open tid -> its snapshot
+        self.history: List[Tuple[int, tuple]] = []
+        self._tids = itertools.count(1)
+
+    def begin(self) -> Tuple[int, int]:
+        """Open a transaction at the current epoch: ``(tid, snapshot)``."""
+        tid = next(self._tids)
+        self.snapshots[tid] = self.epoch
+        return tid, self.epoch
+
+    def end(self, tid: int) -> List[tuple]:
+        """Close ``tid`` (idempotent); returns what the trim dropped."""
+        self.snapshots.pop(tid, None)
+        return self.trim()
+
+    def repin(self, tid: int) -> int:
+        """Move open ``tid`` to the current epoch; returns its snapshot."""
+        self.snapshots[tid] = self.epoch
+        self.trim()
+        return self.epoch
+
+    def horizon(self) -> int:
+        """The oldest open snapshot, or the current epoch when none is."""
+        return min(self.snapshots.values(), default=self.epoch)
+
+    def _after(self, snapshot: int) -> int:
+        # ``(snapshot + 1,)`` sorts after every entry at or below the
+        # snapshot and before every later one, without comparing sets.
+        return bisect_left(self.history, (snapshot + 1,))
+
+    def since(self, snapshot: int) -> List[tuple]:
+        """The write sets of the epochs after ``snapshot``, oldest first."""
+        return [writes for __, writes in self.history[self._after(snapshot):]]
+
+    def conflict(self, snapshot: int, probes: tuple) -> Optional[tuple]:
+        """First-committer-wins: ``(epoch, overlaps)`` for the first epoch
+        after ``snapshot`` whose write set meets ``probes`` kind by kind."""
+        for epoch, writes in self.history[self._after(snapshot):]:
+            overlaps = tuple(kind & probe for kind, probe in zip(writes, probes))
+            if any(overlaps):
+                return epoch, overlaps
+        return None
+
+    def publish(self, writes: tuple) -> int:
+        """Mint the next epoch with ``writes`` as its write set."""
+        self.epoch += 1
+        self.history.append((self.epoch, writes))
+        return self.epoch
+
+    def trim(self) -> List[tuple]:
+        """Drop the write sets at or below the horizon, and return them."""
+        passed = self._after(self.horizon())
+        dropped = [writes for __, writes in self.history[:passed]]
+        del self.history[:passed]
+        return dropped
 
 
 # ---------------------------------------------------------------------------
@@ -129,23 +209,13 @@ class MVCCHeap:
         self._lock = threading.RLock()
         # oid -> sorted epochs that wrote a version of it (incl. tombstones)
         self._versions: Dict[int, List[int]] = {}
-        # epoch -> oids that commit wrote (for first-committer-wins checks)
-        self._commit_writes: Dict[int, FrozenSet[int]] = {}
-        # epoch -> root keys ("ns:name") that commit rebound or deleted
-        self._root_writes: Dict[int, FrozenSet[str]] = {}
-        # epoch -> oids the nodes that commit published reference; a
-        # later collector with an older snapshot must not tombstone these
-        self._commit_kept: Dict[int, FrozenSet[int]] = {}
-        self._epochs: List[int] = []  # committed epochs, sorted
-        self._epoch = 0
-        self._next_oid = 0
-        self._next_tid = 1
-        self._active: Dict[int, "HeapTransaction"] = {}
+        self._epochs: List[int] = []  # epochs with a commit record, sorted
         self._load()
 
     def _load(self) -> None:
         meta = self._store.get(_META_EPOCH)
-        self._epoch = int(meta) if meta is not None else 0
+        # A reopened heap has no open snapshot, so no write-set history.
+        self._clock = _Clock(int(meta) if meta is not None else 0)
         meta = self._store.get(_META_NEXT_OID)
         self._next_oid = int(meta) if meta is not None else 0
         for key in self._store.keys():
@@ -155,28 +225,18 @@ class MVCCHeap:
                     int(epoch_text)
                 )
             elif key.startswith(_COMMIT_PREFIX):
-                epoch = int(key[len(_COMMIT_PREFIX):])
-                record = self._store.get(key)
-                self._epochs.append(epoch)
-                self._commit_writes[epoch] = frozenset(
-                    record.get("written", [])
-                )
-                self._root_writes[epoch] = frozenset(
-                    record.get("root_writes", [])
-                )
-                self._commit_kept[epoch] = frozenset(
-                    record.get("kept", [])
-                )
+                self._epochs.append(int(key[len(_COMMIT_PREFIX):]))
         self._epochs.sort()
         for chain in self._versions.values():
             chain.sort()
         # Live objects no root reaches (a log whose last commits raced)
         # are garbage the next commit collects.
+        epoch = self._clock.epoch
         reached = _reachable(
-            self._roots_at(self._epoch).values(), {},
-            lambda oid: self._entry_at(oid, self._epoch) or {},
+            self._roots_at(epoch).values(), {},
+            lambda oid: self._entry_at(oid, epoch) or {},
         )
-        self._orphans = self._live_at(self._epoch) - reached
+        self._orphans = self._live_at(epoch) - reached
 
     # -- shared-state helpers (called by transactions) ----------------------
 
@@ -221,26 +281,18 @@ class MVCCHeap:
     @property
     def current_epoch(self) -> int:
         """The newest committed epoch (0 before any commit)."""
-        return self._epoch
+        return self._clock.epoch
 
     def begin(self) -> "HeapTransaction":
         """Start a transaction pinned to the current committed epoch."""
         with self._lock:
-            tid = self._next_tid
-            self._next_tid += 1
-            txn = HeapTransaction(self, tid, self._epoch)
-            self._active[tid] = txn
-        _metrics.REGISTRY.counter("txn.begin").inc()
-        _journal("DEBUG", "begin", tid=tid, snapshot=txn.snapshot, layer="heap")
+            txn = HeapTransaction(self, *self._clock.begin())
+        _count("DEBUG", "begin", tid=txn.tid, snapshot=txn.snapshot, layer="heap")
         return txn
 
     def active_transactions(self) -> int:
         """How many transactions are currently open."""
-        return len(self._active)
-
-    def _oldest_snapshot(self) -> int:
-        snapshots = [txn.snapshot for txn in self._active.values()]
-        return min(snapshots) if snapshots else self._epoch
+        return len(self._clock.snapshots)
 
     def vacuum(self) -> Dict[str, int]:
         """Prune version history no snapshot can still see.
@@ -254,7 +306,7 @@ class MVCCHeap:
         """
         versions_pruned = commits_pruned = 0
         with self._lock:
-            horizon = self._oldest_snapshot()
+            horizon = self._clock.horizon()
             with self._store.batch():
                 for oid, chain in list(self._versions.items()):
                     index = bisect_right(chain, horizon) - 1
@@ -279,14 +331,11 @@ class MVCCHeap:
                 if anchor > 0:
                     for epoch in self._epochs[:anchor]:
                         self._store.delete(_COMMIT_PREFIX + str(epoch))
-                        self._commit_writes.pop(epoch, None)
-                        self._root_writes.pop(epoch, None)
-                        self._commit_kept.pop(epoch, None)
                         commits_pruned += 1
                     self._epochs = self._epochs[anchor:]
-        if versions_pruned or commits_pruned:
-            _journal(
-                "INFO", "vacuum",
+        if (versions_pruned or commits_pruned) and _events.CURRENT.enabled:
+            _events.CURRENT.publish(
+                "INFO", "txn", "vacuum",
                 versions=versions_pruned, commits=commits_pruned,
                 horizon=horizon,
             )
@@ -305,7 +354,7 @@ class MVCCHeap:
 
     def stored_object_count(self) -> int:
         """How many objects are live at the current epoch."""
-        return len(self._live_at(self._epoch))
+        return len(self._live_at(self._clock.epoch))
 
     def close(self) -> None:
         """Close the backing store (open transactions become unusable)."""
@@ -430,8 +479,7 @@ class HeapTransaction(_ObjectGraph):
             # Read-only (or no-op) commit: nothing to publish, nothing
             # to conflict with; the snapshot stays pinned.
             span.annotate(epoch=self.snapshot, written=0, read_only=True)
-            _metrics.REGISTRY.counter("txn.commit").inc()
-            _journal(
+            _count(
                 "DEBUG", "commit", tid=self.tid, epoch=self.snapshot,
                 written=0, read_only=True, layer="heap",
             )
@@ -444,7 +492,8 @@ class HeapTransaction(_ObjectGraph):
         root_changes = set(diff.rebound) | set(diff.dropped)
 
         with heap._lock:
-            later = heap._epochs[bisect_right(heap._epochs, self.snapshot):]
+            clock = heap._clock
+            later = clock.since(self.snapshot)
             # What this commit would collect at its snapshot: GC
             # decisions are part of the sweep, and a later commit that
             # published a reference to one of these wins.
@@ -456,41 +505,35 @@ class HeapTransaction(_ObjectGraph):
                 doomed = set(self._unreached(diff, live, self._entry))
             # The sweep: everything this transaction read, wrote, or
             # would collect.  Any overlap with a commit that landed after
-            # our snapshot means our work was based on stale state.
+            # our snapshot means our work was based on stale state.  Two
+            # transactions rebinding (or deleting) the same root name
+            # conflict even when their object sweeps are disjoint (fresh
+            # roots allocate fresh oids).
             sweep = self._stamps.keys() | set(diff.changed) | doomed
-            for epoch in later:
-                overlap = heap._commit_writes[epoch] & sweep
-                # Two transactions rebinding (or deleting) the same root
-                # name conflict even when their object sweeps are
-                # disjoint (fresh roots allocate fresh oids).
-                root_overlap = heap._root_writes[epoch] & root_changes
-                kept_overlap = heap._commit_kept[epoch] & doomed
-                if overlap or root_overlap or kept_overlap:
-                    self._end()
-                    _metrics.REGISTRY.counter("txn.conflict").inc()
-                    _journal(
-                        "WARN", "conflict", tid=self.tid,
-                        snapshot=self.snapshot, winner_epoch=epoch,
-                        overlap=len(overlap | kept_overlap),
-                        roots=sorted(root_overlap), layer="heap",
-                    )
-                    raise TransactionConflictError(
-                        "commit conflict: epoch %d already wrote %d"
-                        " object(s) and %d root(s) in this transaction's"
-                        " sweep (snapshot %d)"
-                        % (
-                            epoch, len(overlap | kept_overlap),
-                            len(root_overlap), self.snapshot,
-                        ),
-                        keys=sorted(overlap | kept_overlap)
-                        + sorted(root_overlap),
-                        winner_epoch=epoch,
-                    )
+            clash = clock.conflict(self.snapshot, (sweep, root_changes, doomed))
+            if clash:
+                epoch, (overlap, root_overlap, kept_overlap) = clash
+                objects = overlap | kept_overlap
+                self._end()
+                _count(
+                    "WARN", "conflict", tid=self.tid,
+                    snapshot=self.snapshot, winner_epoch=epoch,
+                    overlap=len(objects), roots=sorted(root_overlap),
+                    layer="heap",
+                )
+                raise TransactionConflictError(
+                    "commit conflict: epoch %d already wrote %d"
+                    " object(s) and %d root(s) in this transaction's"
+                    " sweep (snapshot %d)"
+                    % (epoch, len(objects), len(root_overlap), self.snapshot),
+                    keys=sorted(objects) + sorted(root_overlap),
+                    winner_epoch=epoch,
+                )
 
             # Merge, don't replace: start from the newest committed root
             # table (which may carry roots committed after our snapshot)
             # and overlay only the bindings this transaction changed.
-            merged = heap._roots_at(heap._epoch)
+            merged = heap._roots_at(clock.epoch)
             for key in diff.dropped:
                 merged.pop(key, None)
             for key in diff.rebound:
@@ -500,7 +543,7 @@ class HeapTransaction(_ObjectGraph):
                 # Collect against the merged state, so an object whose
                 # last references two overlapping commits dropped goes too.
                 def newest(oid: int) -> Optional[dict]:
-                    return heap._entry_at(oid, heap._epoch)
+                    return heap._entry_at(oid, clock.epoch)
 
                 live = _reachable(merged.values(), diff.objects, newest)
                 collected.update(self._unreached(diff, live, newest))
@@ -514,7 +557,7 @@ class HeapTransaction(_ObjectGraph):
             for key in diff.rebound:
                 _node_refs(merged[key], kept)
 
-            epoch = heap._epoch + 1
+            epoch = clock.epoch + 1
             with heap._store.batch():
                 for oid in diff.changed:
                     heap._store.put(_ver_key(oid, epoch), diff.objects[oid][2])
@@ -534,18 +577,13 @@ class HeapTransaction(_ObjectGraph):
                 heap._store.put(_META_NEXT_OID, heap._next_oid)
             for oid in writes:
                 heap._versions.setdefault(oid, []).append(epoch)
-            heap._commit_writes[epoch] = frozenset(writes)
-            heap._root_writes[epoch] = frozenset(root_changes)
-            heap._commit_kept[epoch] = frozenset(kept)
+            clock.publish((writes, root_changes, kept))
             heap._epochs.append(epoch)
-            heap._epoch = epoch
             heap._orphans = set()
             # Re-pin: the transaction continues against what it just
             # committed.
-            self.snapshot = epoch
-            rebound_since = set().union(
-                *(heap._root_writes[later_epoch] for later_epoch in later)
-            )
+            self.snapshot = clock.repin(self.tid)
+            rebound_since = set().union(*(roots for __, roots, __ in later))
 
         self._settle(diff, collected)
         for key in diff.dropped:
@@ -574,10 +612,9 @@ class HeapTransaction(_ObjectGraph):
             collected=stats.objects_collected,
         )
         registry = _metrics.REGISTRY
-        registry.counter("txn.commit").inc()
         registry.counter("heap.objects_written").inc(stats.objects_written)
         registry.counter("heap.objects_collected").inc(stats.objects_collected)
-        _journal(
+        _count(
             "INFO", "commit", tid=self.tid, epoch=epoch,
             written=stats.objects_written, collected=stats.objects_collected,
             sweep=len(sweep), layer="heap",
@@ -588,13 +625,12 @@ class HeapTransaction(_ObjectGraph):
         """End the transaction, abandoning its in-memory object graph."""
         self._check_active()
         self._end()
-        _metrics.REGISTRY.counter("txn.abort").inc()
-        _journal("DEBUG", "abort", tid=self.tid, layer="heap")
+        _count("DEBUG", "abort", tid=self.tid, layer="heap")
 
     def _end(self) -> None:
         self._active_flag = False
         with self._heap._lock:
-            self._heap._active.pop(self.tid, None)
+            self._heap._clock.end(self.tid)
 
     def __enter__(self) -> "HeapTransaction":
         return self
@@ -650,15 +686,11 @@ class TransactionManager:
         # handle -> [(epoch, value-or-None)] sorted by epoch; epoch 0 is
         # the backing store's value when the chain was seeded.
         self._chains: Dict[str, List[Tuple[int, Optional[object]]]] = {}
-        # (epoch, handles it wrote) for every epoch above the last prune
-        # horizon, oldest first: the history conflict validation scans,
-        # and the chains the next prune has to revisit.
-        self._writes: List[Tuple[int, FrozenSet[str]]] = []
+        # An epoch's write set is ``(handles it wrote,)``: the history
+        # conflict validation scans, and the chains a prune revisits.
+        self._clock = _Clock()
         # handles whose chains were seeded since the last prune
         self._seeded: Set[str] = set()
-        self._epoch = 0
-        self._next_tid = 1
-        self._active: Dict[int, "SessionTransaction"] = {}
 
     # -- backing store ------------------------------------------------------
 
@@ -698,24 +730,22 @@ class TransactionManager:
         index = bisect_left(chain, (snapshot + 1,)) - 1
         return chain[index][1] if index >= 0 else None
 
-    def _prune(self) -> None:
+    def _prune(self, passed: List[tuple]) -> None:
         """Trim the chains the horizon has moved past; drop dead ones.
 
         Every chain left by the last prune holds one version at or below
         that horizon and at least one above it, so only two kinds can
         need work now: handles written by the epochs the horizon has
-        since passed, and chains seeded since the last prune.  A chain
+        since ``passed``, and chains seeded since the last prune.  A chain
         whose newest version is at or below the horizon equals the
         backing store for every snapshot that can still read it, so it
         goes; a later snapshot read reseeds it from the backing store.
         """
-        horizon = self._oldest_snapshot()
-        passed = bisect_left(self._writes, (horizon + 1,))
+        horizon = self._clock.horizon()
         visit = self._seeded
         self._seeded = set()
-        for __, handles in self._writes[:passed]:
+        for (handles,) in passed:
             visit.update(handles)
-        del self._writes[:passed]
         for handle in visit:
             chain = self._chains.get(handle)
             if chain is None:
@@ -726,20 +756,16 @@ class TransactionManager:
             elif keep > 0:
                 del chain[:keep]
 
-    def _oldest_snapshot(self) -> int:
-        snapshots = [txn.snapshot for txn in self._active.values()]
-        return min(snapshots) if snapshots else self._epoch
-
     # -- autocommit surface -------------------------------------------------
 
     @property
     def current_epoch(self) -> int:
         """The newest committed epoch (0 before any commit)."""
-        return self._epoch
+        return self._clock.epoch
 
     def active_transactions(self) -> int:
         """How many session transactions are currently open."""
-        return len(self._active)
+        return len(self._clock.snapshots)
 
     def version_chains(self) -> int:
         """How many handles currently keep an in-memory version chain."""
@@ -776,11 +802,9 @@ class TransactionManager:
             # trace in memory.
             chain = self._chain(handle)
             self._backing_write({handle: document})
-            self._epoch += 1
-            epoch = self._epoch
+            epoch = self._clock.publish((frozenset((handle,)),))
             chain.append((epoch, document))
-            self._writes.append((epoch, frozenset((handle,))))
-            self._prune()
+            self._prune(self._clock.trim())
         return epoch
 
     # -- transactions -------------------------------------------------------
@@ -788,13 +812,9 @@ class TransactionManager:
     def begin(self, owner: Optional[str] = None) -> "SessionTransaction":
         """Start a transaction pinned to the current committed epoch."""
         with self.lock:
-            tid = self._next_tid
-            self._next_tid += 1
-            txn = SessionTransaction(self, tid, self._epoch, owner)
-            self._active[tid] = txn
-        _metrics.REGISTRY.counter("txn.begin").inc()
-        _journal(
-            "DEBUG", "begin", tid=tid, snapshot=txn.snapshot,
+            txn = SessionTransaction(self, *self._clock.begin(), owner)
+        _count(
+            "DEBUG", "begin", tid=txn.tid, snapshot=txn.snapshot,
             owner=owner, layer="extern",
         )
         return txn
@@ -868,8 +888,7 @@ class SessionTransaction:
         started = time.perf_counter()
         if not self.writes:
             self._end()
-            _metrics.REGISTRY.counter("txn.commit").inc()
-            _journal(
+            _count(
                 "DEBUG", "commit", tid=self.tid, epoch=self.snapshot,
                 written=0, read_only=True, owner=self.owner, layer="extern",
             )
@@ -877,33 +896,30 @@ class SessionTransaction:
         sweep = self.reads | set(self.writes)
         with manager.lock:
             # Every epoch above this snapshot is still in the history:
-            # the prune horizon never passes an open snapshot.
-            history = manager._writes
-            since = bisect_left(history, (self.snapshot + 1,))
-            for epoch, handles in history[since:]:
-                overlap = handles & sweep
-                if overlap:
-                    self._end()
-                    _metrics.REGISTRY.counter("txn.conflict").inc()
-                    _journal(
-                        "WARN", "conflict", tid=self.tid,
-                        snapshot=self.snapshot, winner_epoch=epoch,
-                        handles=sorted(overlap), owner=self.owner,
-                        layer="extern",
-                    )
-                    raise TransactionConflictError(
-                        "commit conflict: handle(s) %s changed since"
-                        " snapshot %d (won by epoch %d)"
-                        % (", ".join(sorted(overlap)), self.snapshot, epoch),
-                        keys=sorted(overlap),
-                        winner_epoch=epoch,
-                    )
+            # the horizon never passes an open snapshot.
+            clash = manager._clock.conflict(self.snapshot, (sweep,))
+            if clash:
+                epoch, (overlap,) = clash
+                self._end()
+                _count(
+                    "WARN", "conflict", tid=self.tid,
+                    snapshot=self.snapshot, winner_epoch=epoch,
+                    handles=sorted(overlap), owner=self.owner,
+                    layer="extern",
+                )
+                raise TransactionConflictError(
+                    "commit conflict: handle(s) %s changed since"
+                    " snapshot %d (won by epoch %d)"
+                    % (", ".join(sorted(overlap)), self.snapshot, epoch),
+                    keys=sorted(overlap),
+                    winner_epoch=epoch,
+                )
             # Seed the chains first (their epoch-0 base must be the
             # pre-write backing value), then make the batch durable
             # *before* installing anything: if the store write fails
             # (disk full, fsync error) no epoch is advertised that was
             # never made durable, and the transaction ends rather than
-            # sitting in ``_active`` forever pinning the prune horizon.
+            # staying open forever, pinning the horizon.
             chains = {
                 handle: manager._chain(handle) for handle in self.writes
             }
@@ -911,24 +927,20 @@ class SessionTransaction:
                 manager._backing_write(self.writes)
             except BaseException:
                 self._end()
-                _metrics.REGISTRY.counter("txn.abort").inc()
-                _journal(
+                _count(
                     "WARN", "abort", tid=self.tid, owner=self.owner,
                     layer="extern", reason="backing write failed",
                 )
                 raise
-            manager._epoch += 1
-            epoch = manager._epoch
+            epoch = manager._clock.publish((frozenset(self.writes),))
             for handle, document in self.writes.items():
                 chains[handle].append((epoch, document))
-            manager._writes.append((epoch, frozenset(self.writes)))
             written = len(self.writes)
             self._end()
-        _metrics.REGISTRY.counter("txn.commit").inc()
         _metrics.REGISTRY.histogram("txn.commit.seconds").observe(
             time.perf_counter() - started
         )
-        _journal(
+        _count(
             "INFO", "commit", tid=self.tid, epoch=epoch, written=written,
             owner=self.owner, layer="extern",
         )
@@ -938,8 +950,7 @@ class SessionTransaction:
         """Discard buffered writes and end the transaction."""
         self._check_active()
         self._end()
-        _metrics.REGISTRY.counter("txn.abort").inc()
-        _journal("DEBUG", "abort", tid=self.tid, owner=self.owner, layer="extern")
+        _count("DEBUG", "abort", tid=self.tid, owner=self.owner, layer="extern")
 
     def _end(self) -> None:
         # Every way out (commit, read-only commit, conflict, abort, a
@@ -948,8 +959,7 @@ class SessionTransaction:
         self._active_flag = False
         manager = self._manager
         with manager.lock:
-            manager._active.pop(self.tid, None)
-            manager._prune()
+            manager._prune(manager._clock.end(self.tid))
 
     def __enter__(self) -> "SessionTransaction":
         return self

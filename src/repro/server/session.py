@@ -94,13 +94,13 @@ STAT_KINDS = frozenset(
 # into one trace file instead of scraping tables.
 OBS_KINDS = frozenset({"spans", "profile", "journal", "requests"})
 
-# The stat/obs arguments that size a table or a slice.  A frame may send
-# anything there, so they are checked once, before dispatch: a malformed
-# one is the client's error, not an internal one.
+# The stat/obs arguments that size a table, a slice or a time window.  A
+# frame may send anything there, so they are checked once, before
+# dispatch: a malformed one is the client's error, not an internal one.
 _COUNT_ARGS = ("count", "top")
 
 
-def _checked_counts(args: Dict[str, object]) -> Dict[str, object]:
+def _checked_args(args: Dict[str, object]) -> Dict[str, object]:
     for name in _COUNT_ARGS:
         if name in args:
             try:
@@ -109,6 +109,17 @@ def _checked_counts(args: Dict[str, object]) -> Dict[str, object]:
                 raise EvalError(
                     "%s must be a whole number, not %r" % (name, args[name])
                 ) from None
+    if "horizon" in args:
+        try:
+            horizon = float(args["horizon"])
+        except (TypeError, ValueError, OverflowError):
+            horizon = math.nan
+        if not (math.isfinite(horizon) and horizon > 0.0):
+            raise EvalError(
+                "horizon must be a finite number of seconds above 0, not %r"
+                % (args["horizon"],)
+            )
+        args["horizon"] = horizon
     return args
 
 
@@ -278,15 +289,8 @@ class Session:
     ) -> None:
         """Fold one completed run into the wide-event request log and
         offer the event to the slow-query log."""
-        deltas = _wide.counters_since(counters_before)
-        # The optimizer's last feedback observation, when this request
-        # produced one, supplies estimated-vs-actual row counts.
-        est_rows = act_rows = None
-        if deltas.get("feedback"):
-            recent = _feedback.FEEDBACK.last(1)
-            if recent:
-                est_rows = recent[0].estimate
-                act_rows = recent[0].rows_out
+        # No est/act: a DBPL request never consults the planner, and the
+        # process-wide feedback log holds other threads' observations.
         event = _wide.WideEvent(
             request_id=request_id,
             session=self.session_id,
@@ -296,9 +300,7 @@ class Session:
             error=error,
             elapsed_ms=elapsed * 1000.0,
             spans=[root.to_dict() for root in roots],
-            counters=deltas,
-            est_rows=est_rows,
-            act_rows=act_rows,
+            counters=_wide.counters_since(counters_before),
         )
         self.request_log.append(event)
         _slowlog.CURRENT.offer(event)
@@ -395,7 +397,7 @@ class Session:
         handler = getattr(self, "_stat_%s" % kind, None)
         if kind not in STAT_KINDS or handler is None:
             raise EvalError("unknown stat kind %r" % (kind,))
-        return handler(**_checked_counts(args))
+        return handler(**_checked_args(args))
 
     def _stat_stats(self, target: str = "", **__) -> Dict[str, object]:
         target = str(target).strip()
@@ -459,7 +461,7 @@ class Session:
         if action == "threshold":
             try:
                 threshold_ms = float(threshold)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 threshold_ms = math.nan
             if not (math.isfinite(threshold_ms) and threshold_ms >= 0.0):
                 raise EvalError(
@@ -473,11 +475,7 @@ class Session:
     def _stat_watch(self, horizon: Optional[float] = None, **__) -> Dict[str, object]:
         monitor = _monitor.enable()
         monitor.tick()
-        return {
-            "text": monitor.format(
-                horizon=float(horizon) if horizon is not None else None
-            )
-        }
+        return {"text": monitor.format(horizon=horizon)}
 
     def _stat_metrics(self, **__) -> Dict[str, object]:
         return {"text": _monitor.render_openmetrics()}
@@ -580,7 +578,7 @@ class Session:
         handler = getattr(self, "_obs_%s" % what, None)
         if what not in OBS_KINDS or handler is None:
             raise EvalError("unknown obs kind %r" % (what,))
-        return handler(**_checked_counts(args))
+        return handler(**_checked_args(args))
 
     def _obs_spans(self, count: int = 32, **__) -> Dict[str, object]:
         """Per-request span trees of the most recent traced requests.

@@ -3,10 +3,11 @@
 The session prelude and then both transcripts run, in document order,
 through one REPL switched on as ``main()`` switches an interactive one
 (journal, adaptive estimation, columnar execution), with the feedback
-a fresh process starts with: none.  Only the timing
-columns are masked — the table rows' ``ms`` column and EXPLAIN
-ANALYZE's ``self=``/``total=`` — so request ids, modes, est/act, counter
-deltas, flags, queries and every space must match the documentation.
+a fresh process starts with: none, as the suite's fixture leaves it
+after every test.  Only the timing columns are masked — the table rows'
+``ms`` column and EXPLAIN ANALYZE's ``self=``/``total=`` — so request
+ids, modes, est/act, counter deltas, flags, queries and every space
+must match the documentation.
 """
 
 import os
@@ -15,7 +16,7 @@ import re
 from repro.core import columnar
 from repro.lang.repl import Repl
 from repro.obs import events
-from repro.stats import adaptive, feedback
+from repro.stats import adaptive
 
 LANGUAGE_MD = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
@@ -74,16 +75,10 @@ def test_requests_and_slow_transcripts_replay():
     events.enable()
     adaptive.enable()
     columnar.enable()
-    adaptive.ADAPTIVE.clear()
-    feedback.clear()
     printed = []
     repl = Repl(writer=printed.append)
-    try:
-        for command, expected in prelude + requests + slow:
-            del printed[:]
-            repl.handle(command)
-            lines = "\n".join(printed).splitlines()
-            assert mask(lines) == mask(expected), command
-    finally:
-        adaptive.ADAPTIVE.clear()
-        feedback.clear()
+    for command, expected in prelude + requests + slow:
+        del printed[:]
+        repl.handle(command)
+        lines = "\n".join(printed).splitlines()
+        assert mask(lines) == mask(expected), command

@@ -325,7 +325,6 @@ class TestJournalOnFromStartup:
 
 class TestStatsFeedback:
     def test_stats_feedback_lists_recent_observations(self, repl_session):
-        _feedback.clear()
         _feedback.record("Salary == 42", estimate=30.0, rows_in=500,
                          rows_out=4, relation="emp")
         repl, lines = repl_session
@@ -334,10 +333,8 @@ class TestStatsFeedback:
         assert "predicate" in text  # the header row
         assert "Salary == 42" in text
         assert "emp" in text
-        _feedback.clear()
 
     def test_stats_feedback_when_empty(self, repl_session):
-        _feedback.clear()
         repl, lines = repl_session
         repl.handle(":stats feedback")
         assert lines[-1] == (

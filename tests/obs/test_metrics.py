@@ -3,6 +3,8 @@
 import json
 import threading
 
+import pytest
+
 from repro.obs.metrics import (
     REGISTRY,
     Counter,
@@ -41,7 +43,7 @@ class TestHistogram:
     def test_empty_histogram_is_well_defined(self):
         histogram = Histogram("h")
         assert histogram.mean == 0.0
-        assert histogram.percentile(95) == 0.0
+        assert histogram.quantile(0.95) == 0.0
         snap = histogram.snapshot()
         assert snap["count"] == 0
         assert snap["min"] is None and snap["max"] is None
@@ -50,9 +52,27 @@ class TestHistogram:
         histogram = Histogram("h")
         for value in range(100):
             histogram.observe(float(value))
-        assert histogram.percentile(0) == 0.0
-        assert histogram.percentile(50) == 50.0
-        assert histogram.percentile(95) == 95.0
+        assert histogram.quantile(0.0) == 0.0
+        assert histogram.quantile(0.5) == 49.5
+        assert histogram.quantile(0.95) == pytest.approx(94.05)
+        assert histogram.quantile(1.0) == 99.0
+
+    def test_snapshot_and_exposition_agree_on_percentiles(self):
+        """One percentile rule per histogram: the snapshot's p50/p95 are
+        the interpolated quantiles the OpenMetrics exposition reads."""
+        from repro.obs.monitor import parse_openmetrics, render_openmetrics
+
+        registry = MetricsRegistry()
+        histogram = registry.histogram("h")
+        for value in list(range(1, 10)) + [100]:
+            histogram.observe(float(value))
+        snap = histogram.snapshot()
+        assert snap["p95"] == pytest.approx(59.05)
+        assert snap["p50"] == pytest.approx(5.5)
+        exposed = parse_openmetrics(render_openmetrics(registry))
+        quantiles = exposed["summaries"]["h"]["quantiles"]
+        assert quantiles[0.95] == pytest.approx(snap["p95"])
+        assert quantiles[0.5] == pytest.approx(snap["p50"])
 
     def test_sample_ring_is_bounded_but_stats_are_exact(self):
         histogram = Histogram("h", sample_cap=8)

@@ -327,6 +327,8 @@ class TestRacingCommits:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
+        horizon = heap._clock.horizon()
+        assert all(epoch > horizon for epoch, __ in heap._clock.history)
         assert errors == []
         assert read(heap, "n")["value"] == len(committed) > 0
         assert heap.stored_object_count() == 1 + 2 * 3

@@ -36,7 +36,10 @@ Invariants:
   reference, and after every commit the live objects are exactly those
   the newest roots reach; ``vacuum`` never takes a version an open
   snapshot reads;
-* **reopen** — a reopened heap reads the newest state.
+* **reopen** — a reopened heap reads the newest state;
+* **history** — after every step the heap keeps the write sets of
+  exactly the epochs above the oldest open snapshot (the current epoch
+  when none is open), in order, and none at or below it.
 """
 
 import os
@@ -504,6 +507,16 @@ class HeapTxnMachine(RuleBasedStateMachine):
     def epochs_and_transactions_agree(self):
         assert self.heap.current_epoch == len(self.epochs) - 1
         assert self.heap.active_transactions() == len(self.open)
+
+    @invariant()
+    def history_is_bounded_by_the_horizon(self):
+        current = len(self.epochs) - 1
+        horizon = min(
+            (model.snapshot for model in self.open.values()), default=current
+        )
+        kept = [epoch for epoch, __ in self.heap._clock.history]
+        assert all(epoch > horizon for epoch in kept), (kept, horizon)
+        assert kept == list(range(horizon + 1, current + 1)), (kept, horizon)
 
     @invariant()
     def held_objects_match_their_view(self):

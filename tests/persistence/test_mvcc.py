@@ -38,6 +38,16 @@ def heap(tmp_path):
         yield h
 
 
+def kept_epochs(layer):
+    """The epochs whose write sets ``layer`` keeps, oldest first, after
+    checking that each lies above its horizon."""
+    clock = layer._clock
+    kept = [epoch for epoch, __ in clock.history]
+    assert kept == sorted(kept)
+    assert all(epoch > clock.horizon() for epoch in kept), (kept, clock.horizon())
+    return kept
+
+
 class _FlakyStore:
     """A LogStore stand-in whose writes fail while ``fail`` is set."""
 
@@ -378,7 +388,9 @@ class TestFirstCommitterWins:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert kept_epochs(heap) == []
         final = heap.begin()
         assert final.get_root("n")["value"] == len(committed)
         final.abort()
@@ -418,6 +430,66 @@ class TestVacuum:
         assert pinned.get_root("x")["n"] == 0  # still readable
         pinned.abort()
         writer.abort()
+
+
+class TestHeapHistoryBounds:
+    """A commit's write sets live only while an open snapshot can still
+    validate against them: the heap keeps the epochs above its horizon."""
+
+    def _pinned_history(self, heap):
+        """Commit a counter, open a reader on it, then commit five more
+        values; returns ``(writer, counter, reader)``."""
+        writer = heap.begin()
+        counter = writer.root("n", PObject("Counter", {"value": 0}))
+        writer.commit()
+        reader = heap.begin()
+        for value in range(1, 6):
+            counter["value"] = value
+            writer.commit()
+        return writer, counter, reader
+
+    def test_a_repinning_transaction_keeps_no_history(self, heap):
+        txn = heap.begin()
+        counter = txn.root("n", PObject("Counter", {"value": 0}))
+        txn.commit()
+        for value in range(1, 500):
+            counter["value"] = value
+            txn.commit()
+        assert heap.current_epoch == txn.snapshot == 500
+        assert heap._clock.horizon() == 500
+        assert kept_epochs(heap) == []
+        txn.abort()
+        assert kept_epochs(heap) == []
+
+    def test_an_older_snapshot_keeps_exactly_the_later_epochs(self, heap):
+        writer, counter, reader = self._pinned_history(heap)
+        assert reader.snapshot == 1 and writer.snapshot == 6
+        assert kept_epochs(heap) == [2, 3, 4, 5, 6]
+        reader.get_root("n")["value"] = -1
+        with pytest.raises(TransactionConflictError) as exc_info:
+            reader.commit()
+        assert exc_info.value.winner_epoch == 2
+        assert kept_epochs(heap) == []
+        counter["value"] = 6
+        writer.commit()
+        assert kept_epochs(heap) == []
+        writer.abort()
+
+    def test_a_reopened_heap_keeps_no_history(self, tmp_path):
+        path = str(tmp_path / "h.log")
+        with MVCCHeap(path) as heap:
+            self._pinned_history(heap)
+            assert kept_epochs(heap) == [2, 3, 4, 5, 6]
+        with MVCCHeap(path) as heap:
+            assert heap.current_epoch == 6
+            assert kept_epochs(heap) == []
+            old, txn = heap.begin(), heap.begin()
+            txn.get_root("n")["value"] = 7
+            txn.commit()
+            assert kept_epochs(heap) == [7]
+            old.abort()
+            assert kept_epochs(heap) == []
+            txn.abort()
 
 
 class TestContextManager:

@@ -173,7 +173,7 @@ class TxnMachine(RuleBasedStateMachine):
             assert handle in written_after, (handle, horizon)
             visible = [epoch for epoch, __ in chain if epoch <= horizon]
             assert len(visible) == 1, (handle, chain, horizon)
-        retained = [epoch for epoch, __ in self.manager._writes]
+        retained = [epoch for epoch, __ in self.manager._clock.history]
         assert all(epoch > horizon for epoch in retained), (retained, horizon)
         assert retained == sorted(retained)
 

@@ -484,3 +484,19 @@ class TestMalformedCountsOverTheWire:
                     )
                 assert request(kind, **{argument: "2"})["type"] == frame
                 assert client.run("1")["value"] == "1"
+
+    @pytest.mark.parametrize(
+        "bad", ["abc", "NaN", float("nan"), "inf", 10 ** 400, 0, -1.5, None]
+    )
+    def test_malformed_watch_horizon_is_a_client_error(self, bad):
+        with ServerThread() as server:
+            with Client(server.host, server.port) as client:
+                with pytest.raises(RemoteError) as info:
+                    client.stat("watch", horizon=bad)
+                assert info.value.kind == "EvalError"
+                assert str(info.value).startswith(
+                    "horizon must be a finite number of seconds above 0"
+                )
+                reply = client.stat("watch", horizon="2")
+                assert reply["text"].startswith("monitor: ")
+                assert client.run("1")["value"] == "1"

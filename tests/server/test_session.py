@@ -1,5 +1,8 @@
 """Sessions: run modes, the stat surface, and isolation over shared state."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import EvalError, SessionClosedError, TypeCheckError
@@ -133,7 +136,7 @@ class TestStat:
     def test_slow_threshold_must_be_finite_and_not_negative(self):
         session = Session()
         session.stat("slow", action="threshold", threshold=5)
-        for bad in ("abc", "nan", float("inf"), -1.0, None):
+        for bad in ("abc", "nan", float("inf"), 10 ** 400, -1.0, None):
             with pytest.raises(EvalError, match="slow threshold"):
                 session.stat("slow", action="threshold", threshold=bad)
         assert slowlog.CURRENT.threshold_ms == 5.0
@@ -287,6 +290,43 @@ class TestRequestTracking:
         reply = session.run("rjoin(a, b)")
         event = session.request_log.find(reply["request_id"])
         assert event.counters["pairs_tried"] >= 1
+
+    def test_a_request_never_borrows_another_sessions_est_act(self):
+        """The feedback log is process-wide: a session's request whose
+        counters moved because another session ran ``:explain`` meanwhile
+        must not take that plan's estimated and actual rows."""
+        explainer, plain = Session(session_id="x"), Session(session_id="p")
+        explainer.run(
+            'let emp = relation([{Emp = "A", Dept = "Manuf"},'
+            ' {Emp = "B", Dept = "Sales"}, {Emp = "C", Dept = "Manuf"}])'
+        )
+        stop = threading.Event()
+
+        def explain_loop():
+            while not stop.is_set():
+                explainer.stat("explain", source='rmatch(emp, {Dept = "Manuf"})')
+
+        thread = threading.Thread(target=explain_loop)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        thread.start()
+        raced = []
+        try:
+            for __ in range(2000):
+                reply = plain.run("sum([1, 2, 3])")
+                event = plain.request_log.find(reply["request_id"])
+                assert (event.est_rows, event.act_rows) == (None, None)
+                if event.counters["feedback"]:
+                    raced.append(event)
+                if len(raced) >= 20:
+                    break
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        # The case is exercised: other threads' feedback landed mid-request.
+        assert len(raced) >= 20
 
     def test_request_log_is_bounded(self):
         session = Session(requests_capacity=3)

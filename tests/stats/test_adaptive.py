@@ -27,22 +27,10 @@ from repro.core.query import (
 from repro.lang.repl import Repl
 from repro.obs import events as _events
 from repro.obs.metrics import REGISTRY
-from repro.stats import adaptive, feedback
+from repro.stats import adaptive
 from repro.stats.adaptive import AdaptiveStore
 from repro.stats.cost import CostModel
 from repro.workloads.queries import orders_catalog, orders_query, skewed_orders
-
-
-@pytest.fixture(autouse=True)
-def clean_adaptive():
-    """Isolate every test from the process-global store and switch."""
-    adaptive.ADAPTIVE.clear()
-    adaptive.disable()
-    feedback.clear()
-    yield
-    adaptive.ADAPTIVE.clear()
-    adaptive.disable()
-    feedback.clear()
 
 
 def failed_orders_node(catalog):

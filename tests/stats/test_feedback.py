@@ -105,55 +105,42 @@ class TestFeedbackLog:
         ]
 
     def test_structured_observation_trains_adaptive_store(self):
-        adaptive.ADAPTIVE.clear()
-        try:
-            log = FeedbackLog()
-            log.record(
-                Observation(
-                    "Status == 'failed'", "orders", 40.0, 400, 8,
-                    attribute="Status", op="==", operand="failed",
-                )
+        log = FeedbackLog()
+        log.record(
+            Observation(
+                "Status == 'failed'", "orders", 40.0, 400, 8,
+                attribute="Status", op="==", operand="failed",
             )
-            posterior = adaptive.ADAPTIVE.posterior(
-                "orders", "Status", "==", "failed"
-            )
-            assert posterior is not None
-            assert posterior.mean == pytest.approx(0.02)
-        finally:
-            adaptive.ADAPTIVE.clear()
+        )
+        posterior = adaptive.ADAPTIVE.posterior(
+            "orders", "Status", "==", "failed"
+        )
+        assert posterior is not None
+        assert posterior.mean == pytest.approx(0.02)
 
     def test_free_form_observation_does_not_train(self):
-        adaptive.ADAPTIVE.clear()
-        try:
-            log = FeedbackLog()
-            log.record(Observation("Dept == 'Manuf'", "emp", 1.0, 5, 2))
-            assert len(adaptive.ADAPTIVE) == 0
-        finally:
-            adaptive.ADAPTIVE.clear()
+        log = FeedbackLog()
+        log.record(Observation("Dept == 'Manuf'", "emp", 1.0, 5, 2))
+        assert len(adaptive.ADAPTIVE) == 0
 
     def test_bind_epoch_reset_decays_stale_evidence(self):
         # A long-lived log can outlast the catalog that produced its
         # observations: after a reset the epoch counter restarts at 0,
         # and evidence from high epochs must fade, not dominate.
-        adaptive.ADAPTIVE.clear()
-        try:
-            log = FeedbackLog()
-            log.record(
-                Observation(
-                    "A == 'x'", "r", 10.0, 100, 90,
-                    attribute="A", op="==", operand="x", epoch=6,
-                )
+        log = FeedbackLog()
+        log.record(
+            Observation(
+                "A == 'x'", "r", 10.0, 100, 90,
+                attribute="A", op="==", operand="x", epoch=6,
             )
-            fresh = adaptive.ADAPTIVE.posterior("r", "A", "==", "x", epoch=0)
-            assert fresh.weight == pytest.approx(0.5 ** 6)
-            assert fresh.weight < adaptive.ADAPTIVE.min_weight
-        finally:
-            adaptive.ADAPTIVE.clear()
+        )
+        fresh = adaptive.ADAPTIVE.posterior("r", "A", "==", "x", epoch=0)
+        assert fresh.weight == pytest.approx(0.5 ** 6)
+        assert fresh.weight < adaptive.ADAPTIVE.min_weight
 
 
 class TestExecutorIntegration:
     def test_analyze_records_selection_observations(self):
-        feedback.clear()
         catalog = employees_catalog()
         analyze(optimize(employees_query(), catalog), catalog)
         matching = [
@@ -167,10 +154,8 @@ class TestExecutorIntegration:
         assert obs.rows_out == 2
         assert obs.observed_selectivity == pytest.approx(0.4)
         assert obs.relation == "emp"
-        feedback.clear()
 
     def test_index_scan_records_base_relation(self):
-        feedback.clear()
         from repro.workloads.queries import orders_catalog, orders_query
 
         catalog = orders_catalog(rows=100)
@@ -182,4 +167,3 @@ class TestExecutorIntegration:
             if o.relation == "orders"
         ]
         assert matching
-        feedback.clear()
