@@ -54,6 +54,46 @@ def median_and_iqr(samples: List[float]) -> Tuple[float, float]:
     return median, q3 - q1
 
 
+def median_time(writer, op, size, fn, samples=7, **extra):
+    """Time ``samples`` calls of ``fn()`` and record the median with
+    its quartiles, so first-call warm-up does not land in the figure."""
+    times = []
+    for __ in range(samples):
+        started = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - started)
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    writer.record(op, size, median, q1=q1, q3=q3, samples=samples, **extra)
+    return median
+
+
+def interleaved_medians(writer, size, cases, repeats, **extra):
+    """Time ``cases`` round-robin, ``repeats`` times each, and record
+    each as the median of its calls with their interquartile range.
+
+    ``cases`` is a list of ``(op, prepare)``.  ``prepare()`` runs
+    untimed before every timed call and returns the zero-argument
+    callable to time, so each call can start from fresh inputs (a
+    relation built anew has no cached index to flatter the figure).
+    Interleaving spreads the host's drift over every case alike.
+    Returns ``({op: median seconds}, {op: the last call's result})``.
+    """
+    samples: Dict[str, List[float]] = {op: [] for op, __ in cases}
+    results: Dict[str, object] = {}
+    for __ in range(repeats):
+        for op, prepare in cases:
+            fn = prepare()
+            started = time.perf_counter()
+            results[op] = fn()
+            samples[op].append(time.perf_counter() - started)
+    medians: Dict[str, float] = {}
+    for op, __ in cases:
+        median, iqr = median_and_iqr(samples[op])
+        writer.record(op, size, median, iqr=iqr, repeats=repeats, **extra)
+        medians[op] = median
+    return medians, results
+
+
 def quick_requested(argv: Optional[List[str]] = None) -> bool:
     """Was ``--quick`` passed on the command line?"""
     return "--quick" in (argv if argv is not None else sys.argv[1:])

@@ -13,6 +13,10 @@ The paper claims the generalized join "is a generalization of the
 Expected shape: flat ≪ generalized on flat inputs; generalized is the
 only contender once records are partial.
 
+Each row is the median of interleaved repeats with its IQR; the E4
+rows build their relations afresh before every repeat, outside the
+timer, so no cached index flatters the generalized join.
+
 Run:  pytest benchmarks/bench_join.py --benchmark-only
       python benchmarks/bench_join.py        (prints the E4 table)
 """
@@ -65,12 +69,14 @@ def test_generalized_join_on_partial_data(benchmark, null_fraction):
 
 
 def main():
-    import time
-
     try:
-        from benchmarks._results import ResultsWriter, quick_requested
+        from benchmarks._results import (
+            ResultsWriter,
+            interleaved_medians,
+            quick_requested,
+        )
     except ImportError:
-        from _results import ResultsWriter, quick_requested
+        from _results import ResultsWriter, interleaved_medians, quick_requested
 
     from repro.core import columnar as _columnar
     from repro.core.index import Catalog
@@ -79,22 +85,36 @@ def main():
     quick = quick_requested()
     writer = ResultsWriter("join", quick=quick)
     sizes = (20, 60) if quick else (20, 60, 150, 300)
+    repeats = 5 if quick else 9
 
     print("E4 — natural join vs generalized join on flat data")
+    print("(median of %d interleaved runs, each on relations built afresh)"
+          % repeats)
     print("%-8s %14s %14s %10s"
           % ("size", "flat(s)", "generalized(s)", "factor"))
     for size in sizes:
         left, right = flat_join_pair(size, key_cardinality=size // 4, seed=3)
-        g_left, g_right = left.to_generalized(), right.to_generalized()
 
-        flat, flat_t = writer.timeit(
-            "flat_natural_join", size, lambda: left.natural_join(right)
-        )
-        generalized, gen_t = writer.timeit(
-            "generalized_join", size, lambda: g_left.join(g_right)
-        )
+        def fresh_flat():
+            fresh_left, fresh_right = flat_join_pair(
+                size, key_cardinality=size // 4, seed=3
+            )
+            return lambda: fresh_left.natural_join(fresh_right)
 
-        assert generalized == flat.to_generalized()
+        def fresh_generalized():
+            g_left, g_right = left.to_generalized(), right.to_generalized()
+            return lambda: g_left.join(g_right)
+
+        medians, results = interleaved_medians(writer, size, [
+            ("flat_natural_join", fresh_flat),
+            ("generalized_join", fresh_generalized),
+        ], repeats)
+        flat_t = medians["flat_natural_join"]
+        gen_t = medians["generalized_join"]
+
+        assert results["generalized_join"] == (
+            results["flat_natural_join"].to_generalized()
+        )
         print("%-8d %14.6f %14.6f %9.1fx"
               % (size, flat_t, gen_t, gen_t / flat_t if flat_t else 0.0))
     print("\nSame results; the generalized operator pays for generality,")
@@ -102,21 +122,14 @@ def main():
 
     # E10 rider: the same natural join through the vectorized columnar
     # engine, at sizes where the generalized O(n²) contender is out of
-    # reach.  Quick mode doubles as the CI regression guard: columnar
-    # must not lose to the row path.
-    def best_of(fn, repeats=3):
-        best = None
-        result = None
-        for __ in range(repeats):
-            started = time.perf_counter()
-            result = fn()
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None else min(best, elapsed)
-        return result, best
-
+    # reach.  Both plans run warm (the columnar scan cache filled), as
+    # interleaved repeats.  Quick mode doubles as the CI regression
+    # guard: columnar must not lose to the row path.
     failures = []
     col_sizes = (2000,) if quick else (10_000, 100_000)
-    print("\nE10 rider — row vs columnar natural join (best of 3)")
+    col_repeats = 5
+    print("\nE10 rider — row vs columnar natural join (median of %d)"
+          % col_repeats)
     print("%-8s %14s %14s %10s"
           % ("size", "row(s)", "columnar(s)", "speedup"))
     for size in col_sizes:
@@ -132,14 +145,13 @@ def main():
         assert isinstance(col_plan, ColumnarExec), explain(col_plan)
         col_plan.execute(catalog)  # warm the scan cache
 
-        row_result, row_t = best_of(lambda: row_plan.execute(catalog))
-        col_result, col_t = best_of(lambda: col_plan.execute(catalog))
-        assert col_result == row_result
-        writer.record("row_natural_join", size, row_t)
-        writer.record(
-            "columnar_join", size, col_t,
-            speedup=round(row_t / col_t, 2) if col_t else None,
-        )
+        medians, results = interleaved_medians(writer, size, [
+            ("row_natural_join", lambda: lambda: row_plan.execute(catalog)),
+            ("columnar_join", lambda: lambda: col_plan.execute(catalog)),
+        ], col_repeats)
+        row_t, col_t = medians["row_natural_join"], medians["columnar_join"]
+        assert results["columnar_join"] == results["row_natural_join"]
+        writer.rows[-1]["speedup"] = round(row_t / col_t, 2) if col_t else None
         print("%-8d %14.6f %14.6f %9.1fx"
               % (size, row_t, col_t, row_t / col_t if col_t else 0.0))
         if quick and col_t > row_t:

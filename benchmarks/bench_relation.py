@@ -15,21 +15,34 @@ make up to 8 signatures each) at n≈2–5k and compares:
   immutable relation per record by construction — vs
   ``RelationBuilder``'s single partitioned bulk reduction.
 
-The acceptance bar (ISSUE 3) is a ≥5× speedup on join and reduction at
-these sizes, recorded in ``BENCH_relation.json``; the run *fails* if the
-``relation.join.pairs_pruned`` counter stays at zero on the
-mixed-signature join — the pruning counter doubles as a regression guard
-on the partition logic (wired into CI via ``--quick``).
+It also times served_read's op in-process — ``relation(L)`` of 24
+partial records joined with a warm 8-department relation, matched on
+one department and counted — as the ``served_op`` row.
+
+Kernel rows record the median of interleaved repeats with their IQR,
+each repeat on relation objects built afresh outside the timer, so a
+cached index does not flatter the row.  A run of the naive oracle
+takes seconds at these sizes, so its rows are one run (``repeats: 1``).
+
+The acceptance bar is a ≥5× speedup on join and reduction at these
+sizes (2× with ``--quick``), recorded in ``BENCH_relation.json``; the
+run *fails* below it, or if the ``relation.join.pairs_pruned`` counter
+stays at zero on the mixed-signature join — the pruning counter doubles
+as a regression guard on the partition logic (wired into CI via
+``--quick``).
 
 Run:  pytest benchmarks/bench_relation.py --benchmark-only
       python benchmarks/bench_relation.py [--quick]
 """
+
+import random
 
 import pytest
 
 from repro.core import cpo
 from repro.core.orders import leq, try_join
 from repro.core.relation import GeneralizedRelation, RelationBuilder
+from repro.lang.eval import RuntimeRecord, _record_to_domain
 from repro.obs.metrics import REGISTRY
 from repro.workloads.relations import (
     mixed_signature_pair,
@@ -91,14 +104,58 @@ def test_mixed_signature_join_prunes_pairs():
     assert pruned.value > before
 
 
+# -- the served op's shape ----------------------------------------------------
+
+
+def served_shape(seed, records=24, departments=8):
+    """served_read's data as DBPL records: ``records`` partial records
+    (``Name``; 80% carry ``Dept``, 60% ``Addr.City``, 40% ``Addr.State``)
+    and ``departments`` department records (``Dept``, partial ``Addr``)."""
+    rng = random.Random(seed)
+
+    def partial(count, depts):
+        def chosen(share):
+            return set(rng.sample(range(count), round(count * share)))
+
+        with_dept, with_city, with_state = chosen(0.8), chosen(0.6), chosen(0.4)
+        rows = []
+        for i in range(count):
+            fields = {"Dept": "d%d" % i} if depts else {"Name": "n%d" % i}
+            if not depts and i in with_dept:
+                fields["Dept"] = "d%d" % rng.randrange(departments)
+            addr = {}
+            if i in with_city:
+                addr["City"] = "c%d" % rng.randrange(6)
+            if i in with_state:
+                addr["State"] = "s%d" % rng.randrange(3)
+            if addr:
+                fields["Addr"] = RuntimeRecord(addr)
+            rows.append(RuntimeRecord(fields))
+        return rows
+
+    return partial(records, False), partial(departments, True)
+
+
+def served_op(members, dept, pattern):
+    """``rcount(rmatch(rjoin(relation(L), dept), pattern))`` through the
+    builtins' own conversion (``relation`` and ``rmatch`` convert DBPL
+    records as served_read's do)."""
+    relation = GeneralizedRelation(_record_to_domain(item) for item in members)
+    return len(relation.join(dept).matching(_record_to_domain(pattern)))
+
+
 # -- the directly-runnable sweep -------------------------------------------
 
 
 def main():
     try:
-        from benchmarks._results import ResultsWriter, quick_requested
+        from benchmarks._results import (
+            ResultsWriter,
+            interleaved_medians,
+            quick_requested,
+        )
     except ImportError:
-        from _results import ResultsWriter, quick_requested
+        from _results import ResultsWriter, interleaved_medians, quick_requested
 
     quick = quick_requested()
     writer = ResultsWriter("relation", quick=quick)
@@ -106,9 +163,14 @@ def main():
     reduce_sizes = (400,) if quick else (2000, 5000)
     join_sizes = (300,) if quick else (1000, 2000)
     insert_sizes = (400,) if quick else (2000,)
+    repeats = 5 if quick else 9
+    served_repeats = 51 if quick else 401
 
     print("E4/E5 revisited — naive all-pairs vs signature-partitioned kernel")
-    print("(mixed-signature workload: ground key K + optional labels)\n")
+    print("(mixed-signature workload: ground key K + optional labels)")
+    print("kernel columns: median of %d interleaved runs on fresh relations;"
+          % repeats)
+    print("naive columns: one run (rows marked repeats=1 in the JSON)\n")
 
     worst_speedup = None
 
@@ -118,14 +180,14 @@ def main():
             size, key_cardinality=size // 4, seed=3
         )
         naive, naive_t = writer.timeit(
-            "naive_reduce", size, lambda: naive_reduce(records)
+            "naive_reduce", size, lambda: naive_reduce(records), repeats=1
         )
-        built, kernel_t = writer.timeit(
-            "kernel_reduce",
-            size,
-            lambda: RelationBuilder().add_all(records).build(),
-        )
-        assert set(built.objects) == set(naive)
+        medians, built = interleaved_medians(writer, size, [
+            ("kernel_reduce",
+             lambda: lambda: RelationBuilder().add_all(records).build()),
+        ], repeats)
+        kernel_t = medians["kernel_reduce"]
+        assert set(built["kernel_reduce"].objects) == set(naive)
         speedup = naive_t / kernel_t if kernel_t else float("inf")
         writer.rows[-1]["speedup"] = round(speedup, 1)
         worst_speedup = min(worst_speedup or speedup, speedup)
@@ -137,12 +199,19 @@ def main():
         left, right = mixed_signature_pair(size, key_cardinality=size, seed=3)
         g_left, g_right = GeneralizedRelation(left), GeneralizedRelation(right)
         naive, naive_t = writer.timeit(
-            "naive_join", size, lambda: naive_join(g_left, g_right)
+            "naive_join", size, lambda: naive_join(g_left, g_right), repeats=1
         )
-        joined, kernel_t = writer.timeit(
-            "kernel_join", size, lambda: g_left.join(g_right)
+
+        def fresh_join():
+            fresh_left = GeneralizedRelation(left)
+            fresh_right = GeneralizedRelation(right)
+            return lambda: fresh_left.join(fresh_right)
+
+        medians, joined = interleaved_medians(
+            writer, size, [("kernel_join", fresh_join)], repeats
         )
-        assert set(joined.objects) == set(naive)
+        kernel_t = medians["kernel_join"]
+        assert set(joined["kernel_join"].objects) == set(naive)
         speedup = naive_t / kernel_t if kernel_t else float("inf")
         writer.rows[-1]["speedup"] = round(speedup, 1)
         worst_speedup = min(worst_speedup or speedup, speedup)
@@ -158,19 +227,32 @@ def main():
         records = mixed_signature_records(
             size, key_cardinality=size // 4, seed=5, null_fraction=0.5
         )
-        streamed, stream_t = writer.timeit(
-            "insert_stream", size, lambda: insert_stream(records)
-        )
-        built, bulk_t = writer.timeit(
-            "bulk_build",
-            size,
-            lambda: RelationBuilder().add_all(records).build(),
-        )
-        assert built == streamed
+        medians, results = interleaved_medians(writer, size, [
+            ("insert_stream", lambda: lambda: insert_stream(records)),
+            ("bulk_build",
+             lambda: lambda: RelationBuilder().add_all(records).build()),
+        ], repeats)
+        stream_t, bulk_t = medians["insert_stream"], medians["bulk_build"]
+        assert results["bulk_build"] == results["insert_stream"]
         speedup = stream_t / bulk_t if bulk_t else float("inf")
         writer.rows[-1]["speedup"] = round(speedup, 1)
         print("%-22s %8d %12.4f %12.4f %8.1fx"
               % ("insert vs bulk", size, stream_t, bulk_t, speedup))
+
+    # The served op's shape: relation(L) of 24 partial records, joined
+    # with a warm 8-department relation (its index and buckets already
+    # built, as a session's prelude ``dept`` is after its first query),
+    # then matched on one department and counted.
+    members, departments = served_shape(seed=11)
+    dept = GeneralizedRelation(_record_to_domain(d) for d in departments)
+    pattern = RuntimeRecord({"Dept": "d3"})
+    expected = served_op(members, dept, pattern)  # warms dept
+    medians, counts = interleaved_medians(writer, len(members), [
+        ("served_op", lambda: lambda: served_op(members, dept, pattern)),
+    ], served_repeats, departments=len(departments))
+    assert counts["served_op"] == expected
+    print("%-22s %8d %12s %12.6f"
+          % ("served op (24 x 8)", len(members), "-", medians["served_op"]))
 
     print("\npairs pruned by the bucket kernel this run: %d" % pruned)
 

@@ -75,19 +75,6 @@ def _max_drift_ratio(plan, catalog):
     return max(node.drift_ratio for node in stats.walk())
 
 
-def median_time(writer, op, size, fn, **extra):
-    """Time ``ROW_SAMPLES`` calls of ``fn()`` and record the median with
-    its quartiles, so first-call warm-up does not land in the figure."""
-    times = []
-    for __ in range(ROW_SAMPLES):
-        started = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - started)
-    q1, median, q3 = statistics.quantiles(times, n=4)
-    writer.record(op, size, median, q1=q1, q3=q3, samples=ROW_SAMPLES, **extra)
-    return median
-
-
 def column_work(writer, rows, repeats):
     """Median ANALYZE and index-build times on the star ``emp`` against
     the floor of counting and sorting its columns; returns the gate
@@ -138,9 +125,9 @@ def column_work(writer, rows, repeats):
 
 def main():
     try:
-        from benchmarks._results import ResultsWriter, quick_requested
+        from benchmarks._results import ResultsWriter, median_time, quick_requested
     except ImportError:
-        from _results import ResultsWriter, quick_requested
+        from _results import ResultsWriter, median_time, quick_requested
 
     quick = quick_requested()
     writer = ResultsWriter("stats", quick=quick)
@@ -158,6 +145,7 @@ def main():
         analyze_t = median_time(
             writer, "analyze", size,
             lambda: collect_stats(relation, name="orders"),
+            samples=ROW_SAMPLES,
         )
 
         cold = Catalog({"orders": relation})
@@ -174,11 +162,11 @@ def main():
 
         with_t = median_time(
             writer, "optimize_with_stats", size, plan_many(warm),
-            repeats=plan_repeats,
+            samples=ROW_SAMPLES, repeats=plan_repeats,
         )
         without_t = median_time(
             writer, "optimize_without_stats", size, plan_many(cold),
-            repeats=plan_repeats,
+            samples=ROW_SAMPLES, repeats=plan_repeats,
         )
 
         drift_with = _max_drift_ratio(plan, warm)

@@ -27,7 +27,20 @@ every consistent pair has a least upper bound (the domain of records is a
 bounded-complete partial order).
 
 All values are immutable and hashable, so they can live in sets and serve
-as dictionary keys — which the relation layer relies on.
+as dictionary keys — which the relation layer relies on.  Both kinds
+compute their hash once, at construction, and keep it in a slot: the
+relation kernel hashes every atom it buckets or probes by.
+
+``⊔`` is computed without raising: :func:`try_join` walks both values
+and returns ``None`` at the first clash, building each result record
+through :func:`trusted_record`, which skips re-validating labels and
+values that are already checked.  Only :func:`join` turns a clash into
+an :class:`InconsistentJoinError`, with the field path of the first
+clash.  Where both sides of ``a ⊔ b`` define an atom, the result keeps
+``a``'s: ``{x=1} ⊔ {x=1.0, y=2}`` is ``{x=Atom(1), y=Atom(2)}``, while
+``{x=1.0, y=2} ⊔ {x=1}`` spells ``x`` as ``Atom(1.0)``.  The two are
+equal (``Atom(1) == Atom(1.0)``), but ``repr`` — and the relation
+layer's member order, which sorts by it — tells them apart.
 """
 
 from __future__ import annotations
@@ -60,14 +73,11 @@ class Value:
 
         Raises :class:`InconsistentJoinError` when no upper bound exists.
         """
-        return _join(self, other, ())
+        return join(self, other)
 
     def try_join(self, other: "Value") -> Optional["Value"]:
         """Return ``self ⊔ other``, or ``None`` when inconsistent."""
-        try:
-            return _join(self, other, ())
-        except InconsistentJoinError:
-            return None
+        return try_join(self, other)
 
     def meet(self, other: "Value") -> "Value":
         """Return the greatest lower bound ``self ⊓ other``.
@@ -115,7 +125,7 @@ class Atom(Value):
     ``'J Doe'`` and ``'K Smith'``.
     """
 
-    __slots__ = ("_payload",)
+    __slots__ = ("_payload", "_hash")
 
     def __init__(self, payload: AtomPayload):
         if not isinstance(payload, _ATOM_TYPES):
@@ -124,6 +134,13 @@ class Atom(Value):
                 % type(payload).__name__
             )
         self._payload = payload
+        # bool hashes like int in Python; fold in a bool flag so that
+        # Atom(True) and Atom(1) — which we treat as distinct — differ.
+        # Only the flag, not the type name: Atom(1) == Atom(1.0) (numeric
+        # comparison, matching the Float ≥ Int coercion), so their hashes
+        # must coincide too — hash(1) == hash(1.0) makes this free, and
+        # the relation kernel's hash buckets rely on it.
+        self._hash = hash((Atom, isinstance(payload, bool), payload))
 
     @property
     def payload(self) -> AtomPayload:
@@ -138,13 +155,7 @@ class Atom(Value):
         return isinstance(other, Atom) and _atoms_equal(self._payload, other._payload)
 
     def __hash__(self) -> int:
-        # bool hashes like int in Python; fold in a bool flag so that
-        # Atom(True) and Atom(1) — which we treat as distinct — differ.
-        # Only the flag, not the type name: Atom(1) == Atom(1.0) (numeric
-        # comparison, matching the Float ≥ Int coercion), so their hashes
-        # must coincide too — hash(1) == hash(1.0) makes this free, and
-        # the relation kernel's hash buckets rely on it.
-        return hash((Atom, isinstance(self._payload, bool), self._payload))
+        return self._hash
 
     def __repr__(self) -> str:
         return "Atom(%r)" % (self._payload,)
@@ -159,6 +170,8 @@ def _atoms_equal(a: AtomPayload, b: AtomPayload) -> bool:
     are compared numerically, matching the Float ≥ Int coercion the type
     layer performs.
     """
+    if type(a) is type(b):
+        return a == b
     if isinstance(a, bool) or isinstance(b, bool):
         return isinstance(a, bool) and isinstance(b, bool) and a == b
     if isinstance(a, str) or isinstance(b, str):
@@ -177,13 +190,16 @@ class PartialRecord(Value):
     label set (the record's *signature*), a by-label dict for O(1) field
     lookup, the hash, and whether the record is *ground* (every field an
     atom).  ``repr`` — the relation layer's deterministic sort key — is
-    computed once and cached.
+    computed once and cached.  The constructor checks every label and
+    value; :func:`trusted_record` builds a record from ones already
+    checked.
     """
 
     __slots__ = ("_fields", "_by_label", "_label_set", "_ground", "_hash", "_repr")
 
     def __init__(self, fields: Mapping[str, Value] = ()):
         items = dict(fields)
+        ground = True
         for label, value in items.items():
             if not isinstance(label, str):
                 raise NotAValueError("field label must be str, not %r" % (label,))
@@ -191,14 +207,16 @@ class PartialRecord(Value):
                 raise NotAValueError(
                     "field %r must map to a Value, not %r" % (label, value)
                 )
-        self._fields: Tuple[Tuple[str, Value], ...] = tuple(
-            sorted(items.items(), key=lambda kv: kv[0])
-        )
-        self._by_label: dict = dict(self._fields)
-        self._label_set: FrozenSet[str] = frozenset(self._by_label)
-        self._ground: bool = all(
-            isinstance(value, Atom) for value in self._by_label.values()
-        )
+            if not isinstance(value, Atom):
+                ground = False
+        self._fill(items, ground)
+
+    def _fill(self, by_label: dict, ground: bool) -> None:
+        # Labels are distinct, so sorting the pairs compares labels only.
+        self._fields: Tuple[Tuple[str, Value], ...] = tuple(sorted(by_label.items()))
+        self._by_label: dict = by_label
+        self._label_set: FrozenSet[str] = frozenset(by_label)
+        self._ground: bool = ground
         self._hash = hash((PartialRecord, self._fields))
         self._repr: Optional[str] = None
 
@@ -306,27 +324,39 @@ EMPTY_RECORD = PartialRecord()
 """The least record ``{}`` — the bottom of the record part of the domain."""
 
 
+def trusted_record(by_label: dict, ground: bool) -> PartialRecord:
+    """A record over labels and values that are already checked.
+
+    The caller vouches that every key of ``by_label`` is a ``str`` and
+    every value a :class:`Value`, hands the dict over (the record keeps
+    it), and says whether every value is an :class:`Atom`.  The join
+    and the language's record conversion build their results this way,
+    skipping the constructor's per-field checks.
+    """
+    record = object.__new__(PartialRecord)
+    record._fill(by_label, ground)
+    return record
+
+
 # ---------------------------------------------------------------------------
 # Join and meet
 # ---------------------------------------------------------------------------
 
 
-def _join(a: Value, b: Value, path: Tuple[str, ...]) -> Value:
-    """Least upper bound with a field path threaded through for errors."""
-    if isinstance(a, Atom) and isinstance(b, Atom):
-        if _atoms_equal(a.payload, b.payload):
-            return a
-        raise InconsistentJoinError(a, b, path)
+def _clash(a: Value, b: Value, path: Tuple[str, ...]) -> InconsistentJoinError:
+    """The error for an ``a ⊔ b`` that does not exist.
+
+    Walks as :func:`try_join` does — ``b``'s fields in label order — to
+    the first clash, so the error names the field path the walk stopped
+    at and the two values that clash there.
+    """
     if isinstance(a, PartialRecord) and isinstance(b, PartialRecord):
-        fields = dict(a.items())
-        for label, b_value in b.items():
-            a_value = fields.get(label)
-            if a_value is None:
-                fields[label] = b_value
-            else:
-                fields[label] = _join(a_value, b_value, path + (label,))
-        return PartialRecord(fields)
-    raise InconsistentJoinError(a, b, path)
+        mine = a._by_label
+        for label, theirs in b._fields:
+            ours = mine.get(label)
+            if ours is not None and try_join(ours, theirs) is None:
+                return _clash(ours, theirs, path + (label,))
+    return InconsistentJoinError(a, b, path)
 
 
 def _meet(a: Value, b: Value) -> Optional[Value]:
@@ -368,12 +398,44 @@ def lt(a: Value, b: Value) -> bool:
 
 def join(a: Value, b: Value) -> Value:
     """Return ``a ⊔ b`` or raise :class:`InconsistentJoinError`."""
-    return _join(a, b, ())
+    result = try_join(a, b)
+    if result is None:
+        raise _clash(a, b, ())
+    return result
 
 
 def try_join(a: Value, b: Value) -> Optional[Value]:
-    """Return ``a ⊔ b``, or ``None`` when the two are inconsistent."""
-    return a.try_join(b)
+    """Return ``a ⊔ b``, or ``None`` when the two are inconsistent.
+
+    Raises nothing: the walk stops at the first clash.  Where both sides
+    define an atom, the result keeps ``a``'s; a record that gains
+    nothing from ``b`` is returned as it is.
+    """
+    if isinstance(a, PartialRecord):
+        if not isinstance(b, PartialRecord):
+            return None
+        mine = a._by_label
+        merged = None
+        for label, theirs in b._fields:
+            ours = mine.get(label)
+            if ours is None:
+                joined = theirs
+            else:
+                joined = try_join(ours, theirs)
+                if joined is None:
+                    return None
+                if joined is ours:
+                    continue
+            if merged is None:
+                merged = dict(mine)
+            merged[label] = joined
+        if merged is None:
+            return a
+        return trusted_record(merged, a._ground and b._ground)
+    if isinstance(a, Atom):
+        if isinstance(b, Atom) and _atoms_equal(a._payload, b._payload):
+            return a
+    return None
 
 
 def meet(a: Value, b: Value) -> Value:

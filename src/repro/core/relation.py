@@ -25,6 +25,17 @@ partition members by defined-label set and hash-bucket by shared ground
 atoms, so only subset-related, atom-compatible pairs are ever compared.
 Semantics are unchanged — the property suite pins every operation to the
 naive all-pairs oracle over :mod:`repro.core.cpo`.
+
+Each relation keeps one :class:`~repro.core.kernel.SignatureIndex`: the
+one its reduction built, or one built at the first probe of a relation
+made from a known cochain.  Members are kept unordered; a relation
+orders them by ``repr`` only when the order is observed — ``objects``,
+iteration, ``repr``, ``insert`` (which bisects into it), and the
+operations whose result depends on it (``project``, ``select``).  The
+observed order is always exactly ``sorted(members, key=repr)``.
+``len``, ``join``, ``matching``, ``leq``, ``admits``, ``==``, ``hash``
+and ``in`` never sort.  Both the order and the index are filled in at
+most once and never change, so a relation stays immutable.
 """
 
 from __future__ import annotations
@@ -63,58 +74,64 @@ class GeneralizedRelation:
         1
     """
 
-    __slots__ = ("_objects", "_index")
+    __slots__ = ("_members", "_objects", "_index")
 
     def __init__(self, objects: Iterable[object] = ()):
-        values = [from_python(o) for o in objects]
-        reduced = _kernel.reduce_to_maximal(values)
-        # Deterministic iteration order: sort by (cached) repr.  Objects
-        # are heterogeneous partial records, so no natural key exists.
-        self._objects: Tuple[Value, ...] = tuple(sorted(reduced, key=_sort_key))
-        self._index: Optional[_kernel.SignatureIndex] = None
+        index = _kernel.maximal([from_python(o) for o in objects])
+        self._members: Tuple[Value, ...] = index.members
+        # The members sorted by (cached) repr, filled in when observed:
+        # objects are heterogeneous partial records, so no natural key
+        # exists.
+        self._objects: Optional[Tuple[Value, ...]] = None
+        self._index: Optional[_kernel.SignatureIndex] = index
 
     def _sig_index(self) -> _kernel.SignatureIndex:
-        """The lazily-built signature/bucket probe index over the members.
+        """The signature/bucket probe index over the members.
 
-        The relation is immutable, so the index is built at most once and
-        shared by every subsequent ``admits``/``insert``/``matching``/
-        ``leq`` probe against this relation.
+        The relation is immutable, so the index — the reduction's, or
+        one built here at the first probe — is shared by every ``join``,
+        ``admits``/``insert``/``matching``/``leq`` probe against this
+        relation.
         """
         index = self._index
         if index is None:
-            index = self._index = _kernel.SignatureIndex(self._objects)
+            index = self._index = _kernel.SignatureIndex(self._members)
         return index
 
     # -- container protocol ---------------------------------------------------
 
     def __iter__(self) -> Iterator[Value]:
-        return iter(self._objects)
+        return iter(self.objects)
 
     def __len__(self) -> int:
-        return len(self._objects)
+        return len(self._members)
 
     def __contains__(self, obj: object) -> bool:
         value = from_python(obj)
-        return value in self._objects
+        return value in self._members
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GeneralizedRelation):
             return NotImplemented
-        return set(self._objects) == set(other._objects)
+        return set(self._members) == set(other._members)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._objects))
+        return hash(frozenset(self._members))
 
     def __repr__(self) -> str:
-        inner = ",\n ".join(repr(o) for o in self._objects)
-        return "GeneralizedRelation(\n %s\n)" % inner if self._objects else (
+        objects = self.objects
+        inner = ",\n ".join(repr(o) for o in objects)
+        return "GeneralizedRelation(\n %s\n)" % inner if objects else (
             "GeneralizedRelation()"
         )
 
     @property
     def objects(self) -> Tuple[Value, ...]:
-        """The member objects, in deterministic order."""
-        return self._objects
+        """The member objects, in deterministic (``repr``) order."""
+        objects = self._objects
+        if objects is None:
+            objects = self._objects = tuple(sorted(self._members, key=_sort_key))
+        return objects
 
     # -- membership-with-subsumption -------------------------------------------
 
@@ -160,24 +177,24 @@ class GeneralizedRelation:
                 return self
             dominated = set(index.members_below(value))
         else:
-            if any(leq(value, m) for m in self._objects):
+            if any(leq(value, m) for m in self._members):
                 return self
-            dominated = {m for m in self._objects if leq(m, value)}
+            dominated = {m for m in self._members if leq(m, value)}
         if dominated:
-            survivors = [m for m in self._objects if m not in dominated]
+            survivors = [m for m in self.objects if m not in dominated]
         else:
-            survivors = list(self._objects)
-        # ``self._objects`` is sorted and removal preserves order, so the
-        # new value bisects into place — no re-sort per insert.
+            survivors = list(self.objects)
+        # ``objects`` is sorted and removal preserves order, so the new
+        # value bisects into place — no re-sort per insert.
         _bisect.insort(survivors, value, key=_sort_key)
         return _from_sorted_cochain(survivors)
 
     def remove(self, obj: object) -> "GeneralizedRelation":
         """Remove an exact member; raise :class:`RelationError` if absent."""
         value = from_python(obj)
-        if value not in self._objects:
+        if value not in self._members:
             raise RelationError("%r is not a member of the relation" % (value,))
-        return _from_cochain([m for m in self._objects if m != value])
+        return _from_cochain([m for m in self._members if m != value])
 
     # -- the ordering on relations ---------------------------------------------
 
@@ -189,7 +206,7 @@ class GeneralizedRelation:
         instead of a scan of every member.
         """
         index = self._sig_index()
-        return all(index.any_below(theirs) for theirs in other._objects)
+        return all(index.any_below(theirs) for theirs in other._members)
 
     def __le__(self, other: object) -> bool:
         if not isinstance(other, GeneralizedRelation):
@@ -218,19 +235,25 @@ class GeneralizedRelation:
         not exist, so we claim (and test) only the bound property.
 
         Evaluation is the signature-partitioned hash-bucket kernel
-        (:func:`repro.core.kernel.join_pairs`): pairs that disagree on a
-        shared ground atom are pruned without a consistency check, which
-        ``relation.join.pairs_pruned`` counts against the logical
-        ``relation.join.pairs`` total.
+        (:func:`repro.core.kernel.join_indexes`) over both operands'
+        indexes: pairs that disagree on a shared ground atom are pruned
+        without a consistency check, which ``relation.join.pairs_pruned``
+        counts against the logical ``relation.join.pairs`` total.
+
+        Equal results may differ in spelling (``Atom(1)`` against
+        ``Atom(1.0)``), and the reduction keeps the first one.  When
+        they do, the pairs are joined again over indexes built in member
+        order, so the spelling kept is the one the member-ordered join
+        meets first, whatever order the operands' indexes hold.
         """
         registry = _metrics.REGISTRY
         registry.counter("relation.join").inc()
-        pairs = len(self._objects) * len(other._objects)
+        pairs = len(self._members) * len(other._members)
         registry.counter("relation.join.pairs").inc(pairs)
         profiler = _profile.CURRENT
         if profiler.enabled:
             started = profiler.clock()
-            joined, tried = _kernel.join_pairs(self._objects, other._objects)
+            joined, tried = self._join_pairs(other)
             profiler.record(
                 "relation.join",
                 profiler.clock() - started,
@@ -239,10 +262,21 @@ class GeneralizedRelation:
                 pairs_pruned=pairs - tried,
             )
         else:
-            joined, tried = _kernel.join_pairs(self._objects, other._objects)
+            joined, tried = self._join_pairs(other)
         registry.counter("relation.join.pairs_tried").inc(tried)
         registry.counter("relation.join.pairs_pruned").inc(pairs - tried)
         return _from_values(joined)
+
+    def _join_pairs(
+        self, other: "GeneralizedRelation"
+    ) -> Tuple[List[Value], int]:
+        joined, tried = _kernel.join_indexes(self._sig_index(), other._sig_index())
+        if _kernel.respelled(joined):
+            joined = _kernel.join_indexes(
+                _kernel.SignatureIndex(self.objects),
+                _kernel.SignatureIndex(other.objects),
+            )[0]
+        return joined, tried
 
     def meet(self, other: "GeneralizedRelation") -> "GeneralizedRelation":
         """The greatest lower bound under ``⊑``.
@@ -253,7 +287,7 @@ class GeneralizedRelation:
         maximal — keeping a dominating member instead of the dominated one
         would leave the dominated object with nothing below it).
         """
-        reduced = _kernel.reduce_to_minimal(self._objects + other._objects)
+        reduced = _kernel.reduce_to_minimal(self._members + other._members)
         return _from_cochain(reduced)
 
     def project(self, labels: Iterable[str]) -> "GeneralizedRelation":
@@ -261,10 +295,12 @@ class GeneralizedRelation:
 
         Objects undefined on all of ``labels`` project to the empty
         record, which is then subsumed by any non-empty projection.
+        Members project in member order, so of two equal projections
+        spelled differently the one from the first member is kept.
         """
         wanted = tuple(labels)
         projected = []
-        for member in self._objects:
+        for member in self.objects:
             if isinstance(member, PartialRecord):
                 projected.append(member.restrict(wanted))
             else:
@@ -274,8 +310,9 @@ class GeneralizedRelation:
         return GeneralizedRelation(projected)
 
     def select(self, predicate) -> "GeneralizedRelation":
-        """Keep the members satisfying ``predicate(value) -> bool``."""
-        return _from_cochain([m for m in self._objects if predicate(m)])
+        """Keep the members satisfying ``predicate(value) -> bool``,
+        which sees them in member order."""
+        return _from_sorted_cochain([m for m in self.objects if predicate(m)])
 
     def matching(self, pattern: object) -> "GeneralizedRelation":
         """Keep the members at least as informative as ``pattern``.
@@ -298,26 +335,34 @@ class GeneralizedRelation:
         The constructor maintains this invariant; the check exists for
         tests and for defensive verification after bulk operations.
         """
-        if not cpo.is_antichain(self._objects, leq):
+        if not cpo.is_antichain(self._members, leq):
             raise RelationError("relation invariant violated: not a cochain")
 
 
-def _from_cochain(values: Sequence[Value]) -> GeneralizedRelation:
-    """Internal fast path: build from values already forming a cochain."""
-    return _from_sorted_cochain(sorted(values, key=_sort_key))
+def _from_cochain(
+    values: Iterable[Value],
+    index: Optional[_kernel.SignatureIndex] = None,
+) -> GeneralizedRelation:
+    """Internal fast path: build from values already forming a cochain
+    (and, when known, the index over exactly them)."""
+    relation = GeneralizedRelation.__new__(GeneralizedRelation)
+    relation._members = tuple(values)
+    relation._objects = None
+    relation._index = index
+    return relation
 
 
 def _from_sorted_cochain(values: Sequence[Value]) -> GeneralizedRelation:
-    """Innermost fast path: a cochain already in ``_sort_key`` order."""
-    relation = GeneralizedRelation.__new__(GeneralizedRelation)
-    relation._objects = tuple(values)
-    relation._index = None
+    """A cochain already in ``_sort_key`` order, which it keeps."""
+    relation = _from_cochain(values)
+    relation._objects = relation._members
     return relation
 
 
 def _from_values(values: Sequence[Value]) -> GeneralizedRelation:
     """Build from domain values, reducing — skips ``from_python``."""
-    return _from_cochain(_kernel.reduce_to_maximal(values))
+    index = _kernel.maximal(values)
+    return _from_cochain(index.members, index)
 
 
 class RelationBuilder:
@@ -363,7 +408,7 @@ def flat_schema_of(relation: GeneralizedRelation) -> Optional[Tuple[str, ...]]:
     from repro.core.orders import Atom
 
     schema: Optional[Tuple[str, ...]] = None
-    for member in relation:
+    for member in relation._members:
         if not isinstance(member, PartialRecord):
             return None
         labels = member.labels

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.core.orders import Atom, PartialRecord
+from repro.core.orders import Atom, PartialRecord, trusted_record
 from repro.core.relation import GeneralizedRelation
 from repro.errors import EvalError, NotAValueError, TypeSystemError
 from repro.extents.database import Database
@@ -289,16 +289,24 @@ def _record_to_domain(value: object) -> PartialRecord:
 
     Relation members are partial records over scalars and nested
     records; lists or functions inside a member are rejected — the
-    relational side of the paper's world is first-order.
+    relational side of the paper's world is first-order.  Each field is
+    checked here, so the record is built by
+    :func:`~repro.core.orders.trusted_record` unless a label is not a
+    string, which the checking constructor then rejects.
     """
     if not isinstance(value, RuntimeRecord):
         raise EvalError(
             "relation members must be records, got %s" % format_value(value)
         )
     fields = {}
-    for label, field_value in value.fields().items():
+    ground = True
+    str_labels = True
+    for label, field_value in value._fields.items():
+        if not isinstance(label, str):
+            str_labels = False
         if isinstance(field_value, RuntimeRecord):
             fields[label] = _record_to_domain(field_value)
+            ground = False
         else:
             try:
                 fields[label] = Atom(field_value)  # type: ignore[arg-type]
@@ -307,7 +315,9 @@ def _record_to_domain(value: object) -> PartialRecord:
                     "relation member field %r holds %s; only scalars and "
                     "records are allowed" % (label, format_value(field_value))
                 ) from None
-    return PartialRecord(fields)
+    if not str_labels:
+        return PartialRecord(fields)
+    return trusted_record(fields, ground)
 
 
 def _record_from_domain(value) -> RuntimeRecord:

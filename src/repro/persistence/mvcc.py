@@ -563,15 +563,11 @@ class HeapTransaction(_ObjectGraph):
                     heap._store.put(_ver_key(oid, epoch), diff.objects[oid][2])
                 for oid in collected:
                     heap._store.put(_ver_key(oid, epoch), {"dead": 1})
+                # Only the root table is read back (``_roots_at``):
+                # validation keeps the write sets in memory.
                 heap._store.put(
                     _COMMIT_PREFIX + str(epoch),
-                    {
-                        "roots": merged,
-                        "written": sorted(writes),
-                        "root_writes": sorted(root_changes),
-                        "kept": sorted(kept),
-                        "sweep": len(sweep),
-                    },
+                    {"roots": merged, "sweep": len(sweep)},
                 )
                 heap._store.put(_META_EPOCH, epoch)
                 heap._store.put(_META_NEXT_OID, heap._next_oid)

@@ -348,6 +348,9 @@ class Session:
         buffers.  Raises :class:`~repro.errors.TransactionError` when one
         is already open."""
         self._touch()
+        return self._traced_verb(self._begin)
+
+    def _begin(self) -> Dict[str, object]:
         epoch = self._interp.store.begin()
         self._txn_event("txn_begin", snapshot=epoch)
         return {
@@ -364,6 +367,9 @@ class Session:
         then already aborted — ``:begin`` again and retry.
         """
         self._touch()
+        return self._traced_verb(self._commit)
+
+    def _commit(self) -> Dict[str, object]:
         epoch, written = self._interp.store.commit()
         self._txn_event("txn_commit", epoch=epoch, written=written)
         if written:
@@ -377,9 +383,32 @@ class Session:
     def abort(self) -> Dict[str, object]:
         """Abort the open transaction (the ``abort`` frame)."""
         self._touch()
+        return self._traced_verb(self._abort)
+
+    def _abort(self) -> Dict[str, object]:
         self._interp.store.abort()
         self._txn_event("txn_abort")
         return {"text": "transaction aborted", "written": 0}
+
+    def _traced_verb(self, verb) -> Dict[str, object]:
+        """Run a transaction verb; while tracing is on, under a request
+        id of its own (``<session>-r<n>``), so the spans it grows (a
+        commit's ``store.commit``) are harvested off the global tracer
+        into the reply's ``trace`` — even when the verb fails — instead
+        of staying there for the life of the process.  A verb records
+        no wide event; untraced, it pays one flag check."""
+        if not _trace.CURRENT.enabled:
+            return verb()
+        request_id = "%s-r%d" % (self.session_id, self.requests)
+        previous_request = _trace.set_request_id(request_id)
+        try:
+            reply = verb()
+        finally:
+            _trace.set_request_id(previous_request)
+            roots = self._harvest_spans(request_id)
+        if roots:
+            reply["trace"] = "\n".join(root.format() for root in roots)
+        return reply
 
     def _txn_event(self, name: str, **payload: object) -> None:
         if self.publish_runs and self.journal.enabled:

@@ -17,7 +17,8 @@ from repro.core.relation import GeneralizedRelation
 from repro.obs.metrics import REGISTRY
 from repro.workloads.relations import mixed_signature_pair
 
-from tests.strategies import records, values
+from tests.strategies import spelled_records as records
+from tests.strategies import spelled_values as values
 
 
 # -- the oracle: straight from the paper's definitions, all pairs ----------

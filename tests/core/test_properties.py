@@ -14,7 +14,9 @@ from repro.core.orders import join, leq, meet, try_join
 from repro.core.relation import GeneralizedRelation
 from repro.errors import NoMeetError
 
-from tests.strategies import flat_records, records, values
+from tests.strategies import spelled_flat_records as flat_records
+from tests.strategies import spelled_records as records
+from tests.strategies import spelled_values as values
 
 
 class TestValuePartialOrder:

@@ -5,6 +5,7 @@ Objects are filled from a worklist, so the depth of a chain of
 allows is refused at commit, with the same error on both heaps.
 """
 
+import json
 import sys
 
 import pytest
@@ -65,6 +66,17 @@ class TestLongChains:
             txn = heap.begin()
             assert_chain(txn.get_root("chain"))
             txn.abort()
+
+    def test_commit_record_holds_roots_and_sweep_only(self, tmp_path):
+        # The commit record costs the root table, not the write set.
+        path = str(tmp_path / "mvcc.log")
+        with MVCCHeap(path) as heap:
+            with heap.begin() as txn:
+                txn.root("chain", chain_graph(3000))
+            record = heap._store.get("vcommit:1")
+        assert set(record) == {"roots", "sweep"}
+        assert record["roots"] == {"user:chain": ["ref", 0]}
+        assert len(json.dumps(record, separators=(",", ":"))) < 100
 
     def test_deserialize(self):
         assert_chain(deserialize(serialize(chain_graph())))

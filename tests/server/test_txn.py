@@ -20,6 +20,7 @@ import pytest
 
 from repro.errors import RemoteError, TransactionConflictError
 from repro.lang.repl import Repl
+from repro.obs import trace
 from repro.obs.metrics import REGISTRY, reset_metrics
 from repro.server import Client, ServerThread
 from repro.server.broker import SessionBroker, default_workers
@@ -196,6 +197,40 @@ class TestWireTransactions:
         assert REGISTRY.value("txn.conflict") >= 1
         assert REGISTRY.value("txn.commit") >= 1
         assert REGISTRY.value("txn.begin") >= 2
+
+
+class TestTracedTransactions:
+    def test_traced_commits_leave_no_spans_behind(self, tmp_path):
+        trace.enable()
+        with ServerThread(store=str(tmp_path / "store.log")) as server:
+            with Client(server.host, server.port) as client:
+                for n in range(20):
+                    client.begin()
+                    client.run('extern("k", dynamic %d);' % n)
+                    reply = client.commit()
+        leaked = [
+            root.name for root in trace.CURRENT.roots
+            if root.name != "client.run"
+        ]
+        assert leaked == []
+        assert "store.commit" in reply["trace"]
+
+    def test_failed_verb_leaves_no_spans_behind(self):
+        trace.enable()
+        with ServerThread() as server:
+            with Client(server.host, server.port) as client:
+                with pytest.raises(RemoteError):
+                    client.commit()  # no transaction open
+        assert [
+            root.name for root in trace.CURRENT.roots
+            if root.name != "client.run"
+        ] == []
+
+    def test_untraced_verbs_carry_no_trace(self):
+        with ServerThread() as server:
+            with Client(server.host, server.port) as client:
+                assert "trace" not in client.begin()
+                assert "trace" not in client.abort()
 
 
 class TestReplTransactions:
