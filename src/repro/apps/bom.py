@@ -25,6 +25,25 @@ the tests verify both the speedup and the non-persistence).
 :class:`RollUp` generalizes the pattern: the paper notes the real
 bill-of-materials task computes cost *and* mass simultaneously, so the
 roll-up is parameterized by how base parts and assemblies contribute.
+
+**The walks.**  Every walk runs on an explicit stack or queue, so an
+explosion of any depth costs no interpreter stack, and costs about
+what a walk over plain dicts would.  A roll-up keeps the assembly it is
+summing in locals and steps through that part's ``Components`` list by
+index; it pushes one frame per sub-assembly it enters and builds no
+list of ``(sub-part, qty)`` pairs.  It reads each part's and each
+component's field mapping once, through the ``_fields`` slot
+(:class:`~repro.persistence.heap.PObject` documents it as the read path
+for whole-graph walks).  Each memo is stored with one
+:meth:`~repro.persistence.heap.PObject.set_transient` call, so the stamp
+rule stays in :mod:`repro.persistence.heap`.  The sum is the part's own
+value, then each component's ``value * qty`` in list order, the same
+order with or without a memo, so a memoized value is bit-identical to
+the naive one.  ``clear_memos`` finds the explosion breadth first and
+drops each memo with one ``del``, which takes its transient mark too.
+A part without ``IsBase`` or its price, or a component without
+``SubPart``, raises the :class:`~repro.errors.PersistenceError` that
+reading the field through ``part[field]`` raises.
 """
 
 from __future__ import annotations
@@ -33,7 +52,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Set, Tuple
 
 from repro.errors import ReproError
-from repro.persistence.heap import PObject
+from repro.persistence.heap import PObject, missing_field
 
 Component = Tuple[PObject, int]
 
@@ -148,50 +167,72 @@ def roll_up_memoized(part: PObject, roll_up: RollUp = TOTAL_COST) -> RollUpResul
 
 
 def _roll_up(part: PObject, roll_up: RollUp, field) -> RollUpResult:
-    """The recursion on a stack of [part, running total, components left,
-    quantity in its parent] frames (the bottom one stands in for the
-    root's parent), memoizing in ``field`` unless it is ``None``.  Memos
-    are marked transient first, so no write stamp moves for them."""
+    """The recursion on an explicit stack, memoizing in ``field`` unless
+    it is ``None``.
+
+    The assembly being summed lives in locals: itself, its running
+    total, its ``Components`` list, the index of the next component and
+    its quantity in its parent.  Descending into a sub-assembly pushes
+    them as one tuple; the bottom frame stands in for the root's parent
+    and holds one Component of the root.  Each part's and component's
+    field map is read once through ``_fields``, and each memo is stored
+    with one :meth:`~PObject.set_transient` call, so no write stamp
+    moves for it.
+    """
     base_value, own_value = roll_up.base_value, roll_up.own_value
     visits = 0
-    stack = [[None, 0.0, iter(((part, 1),)), 1]]
+    stack = []
+    assembly, total, qty_in_parent = None, 0.0, 1
+    components = (PObject("Component", {"SubPart": part, "Qty": 1}),)
+    index = 0
     while True:
-        frame = stack[-1]
-        total = frame[1]
-        for sub_part, qty in frame[2]:
-            if field is not None and field in sub_part:
-                total += sub_part[field] * qty  # already computed
-                continue
-            visits += 1
-            if sub_part["IsBase"]:
-                value = base_value(sub_part)
-                if field is not None:
-                    sub_part.mark_transient(field)
-                    sub_part[field] = value
-                total += value * qty
-            else:
-                frame[1] = total
-                stack.append(
-                    [sub_part, own_value(sub_part),
-                     iter(components_of(sub_part)), qty]
-                )
-                break
-        else:
-            stack.pop()
+        if index == len(components):
             if not stack:
                 return RollUpResult(total, visits)
             if field is not None:
-                frame[0].mark_transient(field)
-                frame[0][field] = total
-            stack[-1][1] += total * frame[3]
+                assembly.set_transient(field, total)
+            value, qty = total, qty_in_parent
+            assembly, total, components, index, qty_in_parent = stack.pop()
+            total += value * qty
+            continue
+        component = components[index]
+        index += 1
+        try:
+            uses = component._fields
+            sub_part, qty = uses["SubPart"], uses["Qty"]
+        except KeyError as absent:
+            raise missing_field(component, absent.args[0]) from None
+        fields = sub_part._fields
+        if field is not None and field in fields:
+            total += fields[field] * qty  # already computed
+            continue
+        visits += 1
+        try:
+            is_base = fields["IsBase"]
+        except KeyError:
+            raise missing_field(sub_part, "IsBase") from None
+        if is_base:
+            value = base_value(sub_part)
+            if field is not None:
+                sub_part.set_transient(field, value)
+            total += value * qty
+        else:
+            stack.append((assembly, total, components, index, qty_in_parent))
+            assembly, total, qty_in_parent = sub_part, own_value(sub_part), qty
+            components, index = fields.get("Components", ()), 0
 
 
 def clear_memos(part: PObject, roll_up: RollUp = TOTAL_COST) -> int:
-    """Remove memo fields from the whole explosion; returns how many."""
+    """Remove memo fields from the whole explosion; returns how many.
+
+    Each memo goes with one ``del``, which drops its transient mark
+    with it (and moves the stamp only if someone made the field
+    persistent)."""
+    field = roll_up.memo_field
     cleared = 0
     for node in _all_parts(part):
-        if roll_up.memo_field in node:
-            del node[roll_up.memo_field]
+        if field in node._fields:
+            del node[field]
             cleared += 1
     return cleared
 
@@ -217,12 +258,23 @@ def total_mass(part: PObject) -> float:
 
 
 def _all_parts(part: PObject) -> List[PObject]:
-    seen: Set[int] = {id(part)}
+    """The explosion's distinct parts, breadth first from ``part``.
+
+    A PObject hashes and compares by identity, so ``seen`` holds the
+    parts themselves."""
+    seen: Set[PObject] = {part}
     order: List[PObject] = [part]
-    for p in order:  # grows as the walk finds parts
-        for sub_part, __ in components_of(p):
-            if id(sub_part) not in seen:
-                seen.add(id(sub_part))
+    for node in order:  # grows as the walk finds parts
+        fields = node._fields
+        if fields.get("IsBase"):
+            continue
+        for component in fields.get("Components", ()):
+            try:
+                sub_part = component._fields["SubPart"]
+            except KeyError:
+                raise missing_field(component, "SubPart") from None
+            if sub_part not in seen:
+                seen.add(sub_part)
                 order.append(sub_part)
     return order
 

@@ -52,9 +52,19 @@ class PObject:
     intrinsic heap commit re-encodes only objects whose stamp moved, so
     memoize the paper's way: mark the memo field transient *first*, then
     store into it (set-then-mark stamps the object once and it is
-    re-encoded, though nothing new is written).  In-place changes to a
-    list, dict or set held in a field do not move the stamp; the heap
-    finds them at commit by comparing the containers' elements.
+    re-encoded, though nothing new is written); :meth:`set_transient`
+    does both in one call.  Deleting a transient field drops its mark
+    along with its value, so a memo cleared and computed again is marked
+    again before it is stored.  In-place changes to a list, dict or set
+    held in a field do not move the stamp; the heap finds them at commit
+    by comparing the containers' elements.
+
+    **Whole-graph walks** (a heap's stamp diff, the bill of materials'
+    roll-ups) read the ``_fields`` slot, the field mapping itself, once
+    per object instead of paying a method call per field read, as they
+    read ``_stamp``.  They treat it as read-only and write through the
+    methods, which keep the stamp rule; where a walk finds a field
+    absent, :func:`missing_field` gives the error ``obj[field]`` raises.
     """
 
     __slots__ = ("_kind", "_fields", "_transient", "_stamp")
@@ -91,9 +101,7 @@ class PObject:
         try:
             return self._fields[field]
         except KeyError:
-            raise PersistenceError(
-                "%s object has no field %r" % (self.kind, field)
-            ) from None
+            raise missing_field(self, field) from None
 
     def __setitem__(self, field: str, value: object) -> None:
         self._fields[field] = value
@@ -104,9 +112,7 @@ class PObject:
         try:
             del self._fields[field]
         except KeyError:
-            raise PersistenceError(
-                "%s object has no field %r" % (self.kind, field)
-            ) from None
+            raise missing_field(self, field) from None
         if field in self._transient:
             self._transient.discard(field)
         else:
@@ -137,6 +143,16 @@ class PObject:
                 if field in self._fields:
                     self._stamp = _next_stamp()
 
+    def set_transient(self, field: str, value: object) -> None:
+        """Mark ``field`` transient, then store ``value`` in it: a memo
+        write in one call.  No stamp moves unless ``field`` held a
+        persistent value."""
+        if field not in self._transient:
+            self._transient.add(field)
+            if field in self._fields:
+                self._stamp = _next_stamp()
+        self._fields[field] = value
+
     def clear_transient(self, *fields: str) -> None:
         """Remove the transient mark (the fields become persistent)."""
         for field in fields:
@@ -160,6 +176,11 @@ class PObject:
 
     def __repr__(self) -> str:
         return "<%s %s>" % (self.kind, ", ".join(self.field_names()))
+
+
+def missing_field(obj: PObject, field: str) -> PersistenceError:
+    """The error a read or delete of ``obj``'s absent ``field`` raises."""
+    return PersistenceError("%s object has no field %r" % (obj.kind, field))
 
 
 def reachable(roots, include_transient: bool = False) -> List[PObject]:

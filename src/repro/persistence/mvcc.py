@@ -54,6 +54,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+import weakref
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Set, Tuple, Union
 
@@ -97,7 +98,8 @@ class _Clock:
     current epoch when no transaction is open — oldest first: exactly
     the epochs an open transaction may still have to validate against.
     Ending or re-pinning a transaction trims it.  The owning layer calls
-    every method under its own lock.
+    every method under its own lock, except the finalizers :meth:`watch`
+    registers.
     """
 
     def __init__(self, epoch: int = 0):
@@ -105,12 +107,31 @@ class _Clock:
         self.snapshots: Dict[int, int] = {}  # open tid -> its snapshot
         self.history: List[Tuple[int, tuple]] = []
         self._tids = itertools.count(1)
+        # tids of transactions collected while still open; :meth:`reap`
+        # ends them
+        self.dropped: List[int] = []
 
     def begin(self) -> Tuple[int, int]:
         """Open a transaction at the current epoch: ``(tid, snapshot)``."""
         tid = next(self._tids)
         self.snapshots[tid] = self.epoch
         return tid, self.epoch
+
+    def watch(self, txn: object, tid: int) -> weakref.finalize:
+        """Queue ``tid`` in :attr:`dropped` if ``txn`` is collected while
+        still open.  The callback runs inside the collector, so it only
+        appends: it takes no lock and touches no clock state.  The
+        transaction detaches the finalizer when it ends."""
+        return weakref.finalize(txn, self.dropped.append, tid)
+
+    def reap(self) -> List[tuple]:
+        """End the transactions collected while still open; returns
+        what the trim dropped (nothing when none was collected)."""
+        if not self.dropped:
+            return []
+        while self.dropped:
+            self.snapshots.pop(self.dropped.pop(), None)
+        return self.trim()
 
     def end(self, tid: int) -> List[tuple]:
         """Close ``tid`` (idempotent); returns what the trim dropped."""
@@ -286,13 +307,17 @@ class MVCCHeap:
     def begin(self) -> "HeapTransaction":
         """Start a transaction pinned to the current committed epoch."""
         with self._lock:
+            self._clock.reap()
             txn = HeapTransaction(self, *self._clock.begin())
         _count("DEBUG", "begin", tid=txn.tid, snapshot=txn.snapshot, layer="heap")
         return txn
 
     def active_transactions(self) -> int:
-        """How many transactions are currently open."""
-        return len(self._clock.snapshots)
+        """How many transactions are currently open (one dropped without
+        an end no longer counts once it is collected)."""
+        with self._lock:
+            self._clock.reap()
+            return len(self._clock.snapshots)
 
     def vacuum(self) -> Dict[str, int]:
         """Prune version history no snapshot can still see.
@@ -306,6 +331,7 @@ class MVCCHeap:
         """
         versions_pruned = commits_pruned = 0
         with self._lock:
+            self._clock.reap()
             horizon = self._clock.horizon()
             with self._store.batch():
                 for oid, chain in list(self._versions.items()):
@@ -394,6 +420,9 @@ class HeapTransaction(_ObjectGraph):
         self.tid = tid
         self.snapshot = snapshot
         self._active_flag = True
+        # A transaction dropped without commit or abort stops pinning
+        # the horizon once it is collected.
+        self._finalizer = heap._clock.watch(self, tid)
         # root key ("ns:name") -> its node at the snapshot
         self._root_nodes: Dict[str, object] = {}
         for key, node in heap._roots_at(snapshot).items():
@@ -493,6 +522,7 @@ class HeapTransaction(_ObjectGraph):
 
         with heap._lock:
             clock = heap._clock
+            clock.reap()
             later = clock.since(self.snapshot)
             # What this commit would collect at its snapshot: GC
             # decisions are part of the sweep, and a later commit that
@@ -625,6 +655,7 @@ class HeapTransaction(_ObjectGraph):
 
     def _end(self) -> None:
         self._active_flag = False
+        self._finalizer.detach()
         with self._heap._lock:
             self._heap._clock.end(self.tid)
 
@@ -760,8 +791,18 @@ class TransactionManager:
         return self._clock.epoch
 
     def active_transactions(self) -> int:
-        """How many session transactions are currently open."""
-        return len(self._clock.snapshots)
+        """How many session transactions are currently open (one dropped
+        without an end no longer counts once it is collected)."""
+        with self.lock:
+            self._reap()
+            return len(self._clock.snapshots)
+
+    def _reap(self) -> None:
+        """End the transactions collected while still open, and prune
+        what that trims (call with the lock held)."""
+        passed = self._clock.reap()
+        if passed:
+            self._prune(passed)
 
     def version_chains(self) -> int:
         """How many handles currently keep an in-memory version chain."""
@@ -796,6 +837,7 @@ class TransactionManager:
             # its epoch-0 base) and make the write durable *before*
             # advertising the new epoch: a failed store write leaves no
             # trace in memory.
+            self._reap()
             chain = self._chain(handle)
             self._backing_write({handle: document})
             epoch = self._clock.publish((frozenset((handle,)),))
@@ -808,6 +850,7 @@ class TransactionManager:
     def begin(self, owner: Optional[str] = None) -> "SessionTransaction":
         """Start a transaction pinned to the current committed epoch."""
         with self.lock:
+            self._reap()
             txn = SessionTransaction(self, *self._clock.begin(), owner)
         _count(
             "DEBUG", "begin", tid=txn.tid, snapshot=txn.snapshot,
@@ -841,6 +884,10 @@ class SessionTransaction:
         self._active_flag = True
         self.reads: Set[str] = set()
         self.writes: Dict[str, object] = {}
+        # A transaction dropped without commit or abort (an in-process
+        # caller's; the server aborts a disconnected session's) stops
+        # pinning the horizon once it is collected.
+        self._finalizer = manager._clock.watch(self, tid)
 
     @property
     def active(self) -> bool:
@@ -891,6 +938,7 @@ class SessionTransaction:
             return self.snapshot, 0
         sweep = self.reads | set(self.writes)
         with manager.lock:
+            manager._reap()
             # Every epoch above this snapshot is still in the history:
             # the horizon never passes an open snapshot.
             clash = manager._clock.conflict(self.snapshot, (sweep,))
@@ -953,6 +1001,7 @@ class SessionTransaction:
         # failed store write, a dropped connection) may advance the
         # horizon, so each one prunes.
         self._active_flag = False
+        self._finalizer.detach()
         manager = self._manager
         with manager.lock:
             manager._prune(manager._clock.end(self.tid))

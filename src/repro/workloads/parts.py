@@ -5,13 +5,15 @@ a tree but a directed acyclic graph" to varying degrees:
 
 * :func:`uniform_tree` — no sharing; memoization buys nothing;
 * :func:`ladder_dag` — maximal sharing; naive costing is exponential;
-* :func:`random_dag` — a sharing-factor dial between the two.
+* :func:`random_dag` — a sharing-factor dial between the two;
+* :func:`layered_dag` — a wide, shallow DAG in levels, the shape the
+  repository benchmark's heap workload costs.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List
+from typing import List, Sequence
 
 from repro.apps.bom import make_assembly, make_base_part
 from repro.persistence.heap import PObject
@@ -98,3 +100,49 @@ def random_dag(
         return part
 
     return build(depth)
+
+
+def layered_dag(levels: Sequence[int], fan: int = 3, seed: int = 1986) -> PObject:
+    """A DAG in levels under one root: ``levels[0]`` base parts, then
+    assembly levels of ``levels[1:]`` parts that each use ``fan`` parts
+    of the level below, then a root that uses every part of the top level
+    once.
+
+    Each level's uses run round-robin over a shuffle of the level below,
+    so every part is used at least once and only which part goes where
+    varies with ``seed``.  Levels ``(800, 400, 200, 100, 50)`` with fan 3
+    give 1,551 parts and 2,300 components, the repository benchmark's
+    heap workload.
+    """
+    if not levels or fan < 1:
+        raise ValueError("need at least one level and a positive fan")
+    for below, width in zip(levels, levels[1:]):
+        if width * fan < below:
+            raise ValueError(
+                "%d assemblies of fan %d cannot use all %d parts below"
+                % (width, fan, below)
+            )
+    rng = random.Random(seed)
+    below = [
+        make_base_part(
+            "base%d" % index,
+            round(rng.uniform(1, 10), 2),
+            mass=round(rng.uniform(0.1, 1), 2),
+        )
+        for index in range(levels[0])
+    ]
+    for level, width in enumerate(levels[1:], 1):
+        order = list(below)
+        rng.shuffle(order)
+        below = [
+            make_assembly(
+                "asm%d.%d" % (level, index),
+                round(rng.uniform(0, 2), 2),
+                [
+                    (order[(index * fan + use) % len(order)], rng.randrange(1, 3))
+                    for use in range(fan)
+                ],
+            )
+            for index in range(width)
+        ]
+    return make_assembly("product", 1.0, [(part, 1) for part in below])

@@ -55,6 +55,21 @@ class TestWriteStamp:
         assert not moved(obj, lambda o: o.__delitem__("_memo"))
         assert not moved(obj, lambda o: o.clear_transient("_memo"))
 
+    def test_set_transient_is_mark_then_store(self):
+        obj = PObject("Part", {"Cost": 1.0})
+        assert not moved(obj, lambda o: o.set_transient("_memo", 5.0))
+        assert obj["_memo"] == 5.0 and obj.transient_fields == {"_memo"}
+        assert not moved(obj, lambda o: o.set_transient("_memo", 6.0))
+        # Deleting it drops the mark, and storing again marks it again.
+        assert not moved(obj, lambda o: o.__delitem__("_memo"))
+        assert obj.transient_fields == set()
+        assert not moved(obj, lambda o: o.set_transient("_memo", 7.0))
+        assert obj.transient_fields == {"_memo"}
+        # A field that held a persistent value leaves the persistent
+        # view: that moves the stamp, as mark_transient does.
+        assert moved(obj, lambda o: o.set_transient("Cost", 2.0))
+        assert obj.persistent_fields() == {}
+
 
 def committed(tmp_path, roots):
     heap = PersistentHeap(str(tmp_path / "heap.log"))

@@ -13,6 +13,7 @@ The contracts under test (TRANSACTIONS.md is the prose version):
   the log (the crash tests live in ``test_crash_fuzz.py``).
 """
 
+import gc
 import threading
 
 import pytest
@@ -491,6 +492,26 @@ class TestHeapHistoryBounds:
             assert kept_epochs(heap) == []
             txn.abort()
 
+    def test_a_dropped_transaction_stops_pinning_once_collected(self, heap):
+        dropped = heap.begin()
+        dropped.root("draft", PObject("Draft", {"n": 0}))
+        del dropped
+        gc.collect()
+        txn = heap.begin()
+        counter = txn.root("n", PObject("Counter", {"value": 0}))
+        txn.commit()
+        for value in range(1, 100):
+            counter["value"] = value
+            txn.commit()
+        assert heap.current_epoch == 100
+        assert kept_epochs(heap) == []
+        assert heap.active_transactions() == 1
+        txn.abort()
+        assert heap.active_transactions() == 0
+        # Every version but the newest of the counter, and every commit
+        # record but the newest, is below the horizon.
+        assert heap.vacuum() == {"versions": 99, "commits": 99}
+
 
 class TestContextManager:
     def test_clean_exit_commits(self, tmp_path):
@@ -705,6 +726,21 @@ class TestVersionChainBounds:
         assert reader.read("other") is None
         reader.abort()
         assert txns.version_chains() == 0
+
+    def test_a_dropped_transaction_stops_pinning_once_collected(self):
+        txns = TransactionManager(memory={})
+        dropped = txns.begin()
+        assert dropped.read("h0") is None
+        dropped.write("h0", -1)
+        del dropped
+        gc.collect()
+        for index in range(100):
+            with txns.begin() as txn:
+                txn.write("h%d" % index, index)
+        assert kept_epochs(txns) == []
+        assert txns.version_chains() == 0
+        assert txns.active_transactions() == 0
+        assert txns.get("h0") == 0
 
 
 class TestWritesThatBypassTheManager:

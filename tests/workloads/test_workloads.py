@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.apps.bom import explosion_size, is_tree_explosion, roll_up_naive
+from repro.apps.bom import (
+    components_of,
+    explosion_size,
+    is_tree_explosion,
+    roll_up_naive,
+)
 from repro.extents.database import Database, TypeIndexedDatabase
 from repro.workloads.employees import (
     EMPLOYEE_T,
@@ -13,7 +18,12 @@ from repro.workloads.employees import (
     populate,
     synthetic_hierarchy,
 )
-from repro.workloads.parts import ladder_dag, random_dag, uniform_tree
+from repro.workloads.parts import (
+    ladder_dag,
+    layered_dag,
+    random_dag,
+    uniform_tree,
+)
 from repro.workloads.relations import (
     flat_join_pair,
     random_flat_relation,
@@ -110,6 +120,34 @@ class TestParts:
     def test_random_dag_rejects_negative_depth(self):
         with pytest.raises(ValueError):
             random_dag(-1)
+
+    def test_layered_dag_has_the_heap_workload_shape(self):
+        product = layered_dag((800, 400, 200, 100, 50), fan=3, seed=11)
+        parts, seen = [product], {id(product)}
+        for part in parts:  # grows as the walk finds parts
+            for sub_part, __ in components_of(part):
+                if id(sub_part) not in seen:
+                    seen.add(id(sub_part))
+                    parts.append(sub_part)
+        assert len(parts) == explosion_size(product) == 1551
+        assert sum(len(components_of(part)) for part in parts) == 2300
+        assert not is_tree_explosion(product)
+        # One path per use: 50 top assemblies, each level fanning out 3.
+        assert roll_up_naive(product).visits == 1 + 50 + 150 + 450 + 1350 + 4050
+
+    def test_layered_dag_uses_every_part_and_varies_by_seed(self):
+        product = layered_dag((12, 4, 2), fan=3, seed=5)
+        assert explosion_size(product) == 12 + 4 + 2 + 1
+        assert roll_up_naive(product).value == roll_up_naive(
+            layered_dag((12, 4, 2), fan=3, seed=5)).value
+        assert roll_up_naive(product).value != roll_up_naive(
+            layered_dag((12, 4, 2), fan=3, seed=6)).value
+
+    def test_layered_dag_rejects_levels_it_cannot_cover(self):
+        with pytest.raises(ValueError):
+            layered_dag((10, 3), fan=3)
+        with pytest.raises(ValueError):
+            layered_dag(())
 
 
 class TestRelations:
