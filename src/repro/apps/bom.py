@@ -27,23 +27,24 @@ bill-of-materials task computes cost *and* mass simultaneously, so the
 roll-up is parameterized by how base parts and assemblies contribute.
 
 **The walks.**  Every walk runs on an explicit stack or queue, so an
-explosion of any depth costs no interpreter stack, and costs about
-what a walk over plain dicts would.  A roll-up keeps the assembly it is
-summing in locals and steps through that part's ``Components`` list by
-index; it pushes one frame per sub-assembly it enters and builds no
-list of ``(sub-part, qty)`` pairs.  It reads each part's and each
-component's field mapping once, through the ``_fields`` slot
-(:class:`~repro.persistence.heap.PObject` documents it as the read path
-for whole-graph walks).  Each memo is stored with one
-:meth:`~repro.persistence.heap.PObject.set_transient` call, so the stamp
-rule stays in :mod:`repro.persistence.heap`.  The sum is the part's own
-value, then each component's ``value * qty`` in list order, the same
-order with or without a memo, so a memoized value is bit-identical to
-the naive one.  ``clear_memos`` finds the explosion breadth first and
-drops each memo with one ``del``, which takes its transient mark too.
-A part without ``IsBase`` or its price, or a component without
-``SubPart``, raises the :class:`~repro.errors.PersistenceError` that
-reading the field through ``part[field]`` raises.
+explosion of any depth costs no interpreter stack, and each costs a
+small multiple of the same walk over plain dicts (benchmark E2 times
+both).  A roll-up keeps the assembly it is summing in locals and steps
+through that part's ``Components`` list by index; it pushes one frame
+per sub-assembly it enters and builds no list of ``(sub-part, qty)``
+pairs.  It reads each part's and each component's field mapping once,
+through the ``_fields`` slot (:class:`~repro.persistence.heap.PObject`
+documents it as the read path for whole-graph walks).  Each memo is
+stored with one :meth:`~repro.persistence.heap.PObject.set_transient`
+call, so the stamp rule stays in :mod:`repro.persistence.heap`.  The
+sum is the part's own value, then each component's ``value * qty`` in
+list order, the same order with or without a memo, so a memoized value
+is bit-identical to the naive one.  ``clear_memos`` finds the explosion
+breadth first and drops each memo with one ``del``, which takes its
+transient mark too.  A part without ``IsBase`` or its price, or a
+component without ``SubPart``, raises the
+:class:`~repro.errors.PersistenceError` that reading the field through
+``part[field]`` raises.
 """
 
 from __future__ import annotations
@@ -168,16 +169,13 @@ def roll_up_memoized(part: PObject, roll_up: RollUp = TOTAL_COST) -> RollUpResul
 
 def _roll_up(part: PObject, roll_up: RollUp, field) -> RollUpResult:
     """The recursion on an explicit stack, memoizing in ``field`` unless
-    it is ``None``.
+    it is ``None`` (the module docstring describes the walk).
 
     The assembly being summed lives in locals: itself, its running
     total, its ``Components`` list, the index of the next component and
-    its quantity in its parent.  Descending into a sub-assembly pushes
-    them as one tuple; the bottom frame stands in for the root's parent
-    and holds one Component of the root.  Each part's and component's
-    field map is read once through ``_fields``, and each memo is stored
-    with one :meth:`~PObject.set_transient` call, so no write stamp
-    moves for it.
+    its quantity in its parent.  Entering a sub-assembly pushes them as
+    one tuple.  The bottom frame stands in for the root's parent and
+    holds one Component of the root.
     """
     base_value, own_value = roll_up.base_value, roll_up.own_value
     visits = 0
@@ -225,9 +223,8 @@ def _roll_up(part: PObject, roll_up: RollUp, field) -> RollUpResult:
 def clear_memos(part: PObject, roll_up: RollUp = TOTAL_COST) -> int:
     """Remove memo fields from the whole explosion; returns how many.
 
-    Each memo goes with one ``del``, which drops its transient mark
-    with it (and moves the stamp only if someone made the field
-    persistent)."""
+    A memo field someone made persistent moves its part's stamp as it
+    goes; a transient one leaves it put and loses its mark."""
     field = roll_up.memo_field
     cleared = 0
     for node in _all_parts(part):

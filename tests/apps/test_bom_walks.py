@@ -59,17 +59,6 @@ class TestMalformedParts:
 
 
 class TestMemoStamps:
-    def test_walks_move_no_stamp(self):
-        bolt = make_base_part("bolt", 0.5)
-        plate = make_assembly("plate", 2.0, [(bolt, 4), (bolt, 2)])
-        objects = [bolt, plate] + plate["Components"]
-        stamps = [obj.stamp for obj in objects]
-        assert roll_up_memoized(plate).value == 2.0 + 0.5 * 4 + 0.5 * 2
-        assert clear_memos(plate) == 2
-        assert roll_up_memoized(plate).visits == 2
-        assert [obj.stamp for obj in objects] == stamps
-        assert plate.transient_fields == bolt.transient_fields == {"_TotalCost"}
-
     def test_clearing_a_memo_made_persistent_moves_the_stamp(self):
         bolt = make_base_part("bolt", 0.5)
         plate = make_assembly("plate", 2.0, [(bolt, 4)])

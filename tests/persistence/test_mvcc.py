@@ -14,6 +14,7 @@ The contracts under test (TRANSACTIONS.md is the prose version):
 """
 
 import gc
+import sys
 import threading
 
 import pytest
@@ -741,6 +742,40 @@ class TestVersionChainBounds:
         assert txns.version_chains() == 0
         assert txns.active_transactions() == 0
         assert txns.get("h0") == 0
+
+    def test_transactions_dropped_across_threads_all_end(self):
+        # Finalizers run on whichever thread collects; the layer ends
+        # their tids under its lock while other threads commit.
+        txns = TransactionManager(memory={})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+
+            def worker(number):
+                for index in range(200):
+                    txn = txns.begin()
+                    txn.read("shared")
+                    txn.write("w%d" % number, index)
+                    if index % 2:
+                        txn.commit()
+                    del txn  # dropped open every other round
+
+            threads = [
+                threading.Thread(target=worker, args=(number,))
+                for number in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        gc.collect()
+        assert txns.active_transactions() == 0
+        assert kept_epochs(txns) == []
+        assert txns.version_chains() == 0
+        assert txns.get("w3") == 199
 
 
 class TestWritesThatBypassTheManager:
