@@ -6,7 +6,8 @@ A hypothesis state machine holds a random layered parts DAG in a
 drives prices, costs and masses, in-place component edits (append,
 remove, change a ``Qty``), rebinding ``Components``, ``clear_memos``
 and ``roll_up_memoized`` for both aggregates from the product or from a
-sub-assembly, commits, and reopens.
+sub-assembly (apart, or one after the other as the heap workload's op
+does), commits, and reopens.
 
 Checks:
 
@@ -250,6 +251,12 @@ class BomMachine(RuleBasedStateMachine):
             )
             assert result.visits == explosion_size(part) == len(explosion)
         self.cleared = None
+
+    @rule(aggregate=AGGREGATES, start=STARTS)
+    def recost(self, aggregate, start):
+        # The heap workload's op: a clear, then a roll-up from one part.
+        self.clear(aggregate, start)
+        self.roll_up(aggregate, start)
 
     # -- commit and reopen -----------------------------------------------------------------
 
