@@ -12,13 +12,12 @@ filters and prunes before joining.  Results are identical (property-
 tested in ``tests/core/test_query.py``); the gap grows with table size.
 The table's last column executes the optimized plan through the
 vectorized columnar engine (E10) — in quick mode CI fails the run if
-columnar comes out slower than the row path.
+columnar comes out slower than the row path.  Every figure is the
+median of interleaved repeats, recorded with its interquartile range.
 
 Run:  pytest benchmarks/bench_query.py --benchmark-only
       python benchmarks/bench_query.py      (prints the E9 table)
 """
-
-import time
 
 import pytest
 
@@ -94,9 +93,13 @@ def test_index_plan_agrees(size):
 
 def main():
     try:
-        from benchmarks._results import ResultsWriter, quick_requested
+        from benchmarks._results import (
+            ResultsWriter,
+            interleaved_medians,
+            quick_requested,
+        )
     except ImportError:
-        from _results import ResultsWriter, quick_requested
+        from _results import ResultsWriter, interleaved_medians, quick_requested
 
     from repro.core.index import Catalog
     from repro.core.query import explain_analyze
@@ -104,19 +107,11 @@ def main():
     quick = quick_requested()
     writer = ResultsWriter("query", quick=quick)
     sizes = (500,) if quick else (500, 2000, 8000)
-
-    def best_of(fn, repeats=3):
-        best = None
-        result = None
-        for __ in range(repeats):
-            started = time.perf_counter()
-            result = fn()
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None else min(best, elapsed)
-        return result, best
+    repeats = 5 if quick else 9
 
     failures = []
     print("E9 — naive vs optimized vs index-scan vs columnar star query")
+    print("(median of %d interleaved runs)" % repeats)
     print("%-8s %12s %12s %12s %12s"
           % ("emps", "naive(s)", "optimized(s)", "indexed(s)",
              "columnar(s)"))
@@ -136,21 +131,20 @@ def main():
         columnar_catalog = Catalog(plain)
         columnar.execute(columnar_catalog)  # warm the scan cache
 
-        naive_result, naive_t = writer.timeit(
-            "naive_plan", size, lambda: plan.execute(plain)
+        medians, results = interleaved_medians(writer, size, [
+            ("naive_plan", lambda: lambda: plan.execute(plain)),
+            ("optimized_plan", lambda: lambda: optimized.execute(plain)),
+            ("indexed_plan",
+             lambda: lambda: indexed.execute(indexed_catalog)),
+            ("columnar_plan",
+             lambda: lambda: columnar.execute(columnar_catalog)),
+        ], repeats)
+        naive_t, opt_t, idx_t, col_t = (
+            medians[op] for op in
+            ("naive_plan", "optimized_plan", "indexed_plan", "columnar_plan")
         )
-        optimized_result, opt_t = best_of(lambda: optimized.execute(plain))
-        writer.record("optimized_plan", size, opt_t)
-        indexed_result, idx_t = writer.timeit(
-            "indexed_plan", size, lambda: indexed.execute(indexed_catalog)
-        )
-        columnar_result, col_t = best_of(
-            lambda: columnar.execute(columnar_catalog)
-        )
-        writer.record("columnar_plan", size, col_t)
-
-        assert (optimized_result == naive_result == indexed_result
-                == columnar_result)
+        assert (results["optimized_plan"] == results["naive_plan"]
+                == results["indexed_plan"] == results["columnar_plan"])
         print("%-8d %12.6f %12.6f %12.6f %12.6f"
               % (size, naive_t, opt_t, idx_t, col_t))
         if quick and col_t > opt_t:

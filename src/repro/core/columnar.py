@@ -11,16 +11,31 @@ module stores a flat relation *by column* and runs the algebra over
 whole arrays at a time:
 
 * :class:`ColumnarRelation` — one Python list per attribute, rows
-  aligned by position; string-ish low-cardinality columns are
-  dictionary-encoded (integer codes into a shared domain), so equality
-  filters compare small ints and gathers move ints, not strings;
+  aligned by position; low-cardinality columns are dictionary-encoded
+  (integer codes into a shared domain), so gathers move small ints, not
+  strings.  A scanned column of 64 rows or more is encoded when at most
+  half its values are distinct: by ANALYZE's exact distinct count when
+  the catalog's statistics were taken at the relation's current bind
+  epoch (``Scan`` hands them to :func:`scan`, which reads them only on
+  a cache miss), else by its first 64 values.  Which encoding a column
+  gets never changes an answer;
+* **posting lists** — an encoded column knows, per code, the positions
+  of the rows that hold it (one permutation of the rows plus per-code
+  offsets, built on first use and cached with the column, so they live
+  and die with the relation object).  Over a whole encoded column, a
+  filter compares each distinct value once and concatenates the
+  postings of the codes that pass, and a hash join whose unique build
+  keys probe it looks each key up in the domain and concatenates that
+  key's postings: both cost the column's domain plus their output, not
+  its rows;
 * **selection vectors** — a filter emits the list of surviving row
   positions instead of materializing rows; ``None`` means "all rows",
-  so a filter that keeps everything costs nothing downstream;
+  so a filter that keeps everything costs nothing downstream.  Their
+  order is unspecified: one built from postings is grouped by code;
 * **batch kernels** — :func:`filter_sel`, :func:`project`, and
-  :func:`hash_join` sweep the arrays in :data:`BATCH_ROWS`-sized
-  chunks inside C-speed list comprehensions; the chunk count is what
-  ``EXPLAIN ANALYZE`` reports as ``batches=``;
+  :func:`hash_join` sweep the arrays in C-speed list comprehensions;
+  ``EXPLAIN ANALYZE`` reports as ``batches=`` how many
+  :data:`BATCH_ROWS`-sized chunks cover an operator's input;
 * **key-aware projection** — relations are sets, so a projection
   merges the rows it collapses, but one that keeps a key collapses
   none: each :class:`Column` knows whether it is unique, and
@@ -52,7 +67,8 @@ oracle by the Hypothesis suite in ``tests/core/test_columnar.py``
 Scan conversions are cached per relation *object* (``id``-keyed, with
 a weakref that evicts the entry when the relation is collected), so
 repeated queries over a bound catalog pay the row→column transpose,
-and each column's uniqueness count, once.
+each column's uniqueness count and its postings once, and the cache
+holds one entry per live relation.
 
 Metrics: ``columnar.batches`` and ``columnar.rows`` count kernel work
 (per operator, incremented by the plan walk),
@@ -63,7 +79,10 @@ planner) the adoption of the path.
 
 from __future__ import annotations
 
+import operator
 import weakref
+from array import array
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.flat import FlatRelation
@@ -93,11 +112,24 @@ __all__ = [
 # EXPLAIN ANALYZE reports how many chunks each operator swept.
 BATCH_ROWS = 4096
 
-# Dictionary-encoding heuristic: sample this many leading values and
-# encode the column when the sample's distinct count stays under half —
-# low-cardinality columns (department names, statuses, cities) win, and
-# near-unique columns (names, ids) skip the encoding pass entirely.
+# Dictionary encoding: a column of at least this many rows is encoded
+# when at most half its values are distinct — low-cardinality columns
+# (department names, statuses, cities) win, and near-unique columns
+# (names, ids) skip the encoding pass entirely.  ANALYZE's exact
+# distinct count decides when fresh statistics come with the scan;
+# otherwise this many leading values stand in for the column.
 _ENCODE_SAMPLE = 64
+
+# The comparisons a filter evaluates once per distinct value of an
+# encoded column, as Predicate.evaluate does once per row.
+_COMPARE = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 Sel = Optional[List[int]]  # selection vector; None = every row
 
@@ -151,9 +183,12 @@ class Column:
     counts its own values on first use (only :func:`from_flat` builds
     such columns), or the source :class:`Column` a gather without
     repeated rows inherits the answer from.
+
+    An encoded column also answers :meth:`postings`, the rows that hold
+    each code, built on first use and kept with the column.
     """
 
-    __slots__ = ("_values", "codes", "domain", "_code_of", "_unique")
+    __slots__ = ("_values", "codes", "domain", "_code_of", "_unique", "_postings")
 
     def __init__(
         self,
@@ -168,6 +203,7 @@ class Column:
         self.domain = domain
         self._code_of = code_of
         self._unique = unique
+        self._postings = None
 
     @property
     def is_encoded(self) -> bool:
@@ -181,13 +217,39 @@ class Column:
         return self._values
 
     def code_for(self, value) -> Optional[int]:
-        """The code of ``value`` in this column's domain, or ``None``."""
+        """The code of ``value`` in this column's domain, or ``None``.
+
+        A dict lookup — identity, then ``==`` — which is how a hash join
+        matches keys, not how a filter compares (a NaN is its own key
+        but equals nothing).
+        """
         if self._code_of is None:
             self._code_of = {v: c for c, v in enumerate(self.domain)}
         try:
             return self._code_of.get(value)
         except TypeError:  # unhashable operand can't be in the domain
             return None
+
+    def postings(self) -> Tuple[array, List[int]]:
+        """``(positions, offsets)``: the rows holding code ``c`` are
+        ``positions[offsets[c]:offsets[c + 1]]``, in ascending order.
+
+        Every row appears once, so the lists cost one machine int per
+        row plus one offset per code.  Built on first use and cached,
+        so a scanned column pays for them once per relation object.
+        """
+        postings = self._postings
+        if postings is None:
+            buckets: List[List[int]] = [[] for __ in self.domain]
+            for row, code in enumerate(self.codes):
+                buckets[code].append(row)
+            positions = array("i" if len(self.codes) < 2**31 else "q")
+            for bucket in buckets:
+                positions.fromlist(bucket)
+            offsets = [0]
+            offsets.extend(accumulate(map(len, buckets)))
+            postings = self._postings = (positions, offsets)
+        return postings
 
     def is_unique(self) -> bool:
         """Whether no two rows hold ``==``-equal values (cached).
@@ -221,13 +283,21 @@ def _encode_column(values: list) -> Column:
     return Column(codes=codes, domain=domain, code_of=code_of)
 
 
-def _build_column(values: list) -> Column:
+def _build_column(values: list, distinct: Optional[int] = None) -> Column:
+    """A scanned column, encoded when at most half its values are
+    distinct: by ``distinct``, ANALYZE's exact count, when known, else
+    by a leading sample."""
     sample = values[:_ENCODE_SAMPLE]
-    distinct = len(set(sample))
-    if len(sample) >= _ENCODE_SAMPLE and distinct * 2 <= len(sample):
-        return _encode_column(values)
+    seen = len(set(sample))
+    if len(sample) >= _ENCODE_SAMPLE:
+        if distinct is None:
+            distinct, rows = seen, len(sample)
+        else:
+            rows = len(values)
+        if distinct * 2 <= rows:
+            return _encode_column(values)
     # A repeat among the sampled values already answers is_unique.
-    unique = None if distinct == len(sample) else False
+    unique = None if seen == len(sample) else False
     return Column(values=values, unique=unique)
 
 
@@ -255,27 +325,41 @@ class ColumnarRelation:
             ) from None
 
 
-def from_flat(flat: FlatRelation) -> ColumnarRelation:
-    """Transpose a flat relation into columns (no cache; see :func:`scan`)."""
-    columns = tuple(_build_column(values) for values in flat.columns())
-    return ColumnarRelation(flat.schema, columns, len(flat.rows))
+def from_flat(flat: FlatRelation, stats=None) -> ColumnarRelation:
+    """Transpose a flat relation into columns (no cache; see :func:`scan`).
+
+    ``stats``, the relation's :class:`~repro.stats.collect.TableStats`
+    when they describe this very relation, lends each column ANALYZE's
+    exact distinct count to choose its encoding by.
+    """
+    columns = []
+    for attribute, values in zip(flat.schema, flat.columns()):
+        measured = stats.column(attribute) if stats is not None else None
+        distinct = measured.distinct_count if measured is not None else None
+        columns.append(_build_column(values, distinct))
+    return ColumnarRelation(flat.schema, tuple(columns), len(flat.rows))
 
 
 # Conversion cache: id(flat) → (weakref-to-flat, its columnar form).
 # Keyed by identity because FlatRelation hashing is O(rows); the weakref
-# both validates the entry (id reuse after collection) and evicts it.
+# both validates the entry (id reuse after collection) and evicts it,
+# so the cache holds one entry per live relation object.
 _SCAN_CACHE: Dict[int, Tuple["weakref.ref", ColumnarRelation]] = {}
 
 
-def scan(flat: FlatRelation) -> ColumnarRelation:
-    """The columnar form of ``flat``, cached per relation object."""
+def scan(flat: FlatRelation, stats=None) -> ColumnarRelation:
+    """The columnar form of ``flat``, cached per relation object.
+
+    ``stats`` (see :func:`from_flat`) is read only on a cache miss: a
+    cached conversion keeps the encodings it was built with.
+    """
     key = id(flat)
     cached = _SCAN_CACHE.get(key)
     if cached is not None and cached[0]() is flat:
         _metrics.REGISTRY.counter("columnar.scan.cache_hits").inc()
         return cached[1]
     _metrics.REGISTRY.counter("columnar.scan.cache_misses").inc()
-    columnar = from_flat(flat)
+    columnar = from_flat(flat, stats)
     try:
         ref = weakref.ref(flat, lambda _ref, _key=key: _SCAN_CACHE.pop(_key, None))
     except TypeError:
@@ -310,21 +394,50 @@ def filter_sel(
     every input row survives (the identity vector is never
     materialized); ``op`` is one of the planner's sargable comparisons,
     with ``attr==`` comparing two columns of the same row.
+
+    On an encoded column the comparison runs once per distinct value
+    the input rows hold — never on a value outside them, so what raises
+    or matches is what the row path's ``Predicate.evaluate`` raises or
+    matches.  Without a selection the result is the concatenated
+    postings of the codes that pass, grouped by code.
     """
     if op == "attr==":
         left = rel.column(attribute).values()
         right = rel.column(str(operand)).values()
         return _filter_pairs(left, right, sel)
     column = rel.column(attribute)
-    if op in ("==", "!=") and column.is_encoded:
-        code = column.code_for(operand)
-        if code is None:
-            # Operand outside the domain: == keeps nothing, != keeps all.
-            if op == "==":
-                return [], batch_count(_effective_count(rel, sel))
-            return sel, batch_count(_effective_count(rel, sel))
-        return _filter_const(column.codes, sel, op, code)
+    if column.is_encoded:
+        test = _COMPARE.get(op)
+        if test is None:
+            raise RelationError("unknown predicate operator %r" % op)
+        batches = batch_count(_effective_count(rel, sel))
+        if sel is None:
+            return _filter_postings(column, test, operand, rel.nrows), batches
+        codes = column.codes
+        domain = column.domain
+        keep = [False] * len(domain)
+        for code in set(map(codes.__getitem__, sel)):
+            keep[code] = test(domain[code], operand)
+        return [row for row in sel if keep[codes[row]]], batches
     return _filter_const(column.values(), sel, op, operand)
+
+
+def _filter_postings(column: Column, test, operand, nrows: int) -> Sel:
+    """The rows of a whole encoded column whose value passes ``test``."""
+    positions, offsets = column.postings()
+    passing = []
+    kept = 0
+    for code, value in enumerate(column.domain):
+        held = offsets[code + 1] - offsets[code]
+        if held and test(value, operand):
+            passing.append(code)
+            kept += held
+    if kept == nrows:
+        return None  # every row passed: keep the identity
+    out: List[int] = []
+    for code in passing:
+        out += positions[offsets[code] : offsets[code + 1]]
+    return out
 
 
 def _filter_const(values: list, sel: Sel, op: str, target) -> Tuple[Sel, int]:
@@ -454,8 +567,11 @@ def hash_join(
     the common case of joining a fact table against a dimension — the
     probe is a single C-speed ``map(dict.get)`` over the key array; a
     probe where every row matches passes the input columns through
-    untouched instead of gathering.  With no shared attribute this
-    degenerates to the Cartesian product, as the row path does.
+    untouched instead of gathering.  A unique build probing a whole
+    encoded column on one shared attribute, where some row misses,
+    reads the matching rows off the column's postings instead.  With no
+    shared attribute this degenerates to the Cartesian product, as the
+    row path does.
     """
     common = [a for a in left.schema if a in right.schema]
     result_schema = left.schema + tuple(
@@ -523,7 +639,10 @@ def _gather_column(column: Column, rows: Sel, distinct: bool) -> Column:
     if column.is_encoded:
         codes = column.codes
         return Column(
-            codes=[codes[i] for i in rows], domain=column.domain, unique=unique
+            codes=[codes[i] for i in rows],
+            domain=column.domain,
+            code_of=column._code_of,
+            unique=unique,
         )
     values = column._values
     return Column(values=[values[i] for i in rows], unique=unique)
@@ -553,7 +672,6 @@ def _hash_probe(
     side's rows all participate exactly once in input order.
     """
     build_keys = _key_arrays(build, build_sel, common)
-    probe_keys = _key_arrays(probe, probe_sel, common)
     # Try the unique-build fast path first: one dict insert per key and
     # a map(get) probe.  Keys are atoms or tuples of atoms, so None can
     # never be a key — it doubles as the miss sentinel for free.
@@ -564,7 +682,13 @@ def _hash_probe(
             unique = False
             break
         positions[key] = j
-    if unique:
+    matched = None
+    if unique and probe_sel is None and len(common) == 1:
+        matched = _postings_probe(build_keys, probe.column(common[0]), probe.nrows)
+    if matched is not None:
+        probe_rows, build_positions = matched
+    elif unique:
+        probe_keys = _key_arrays(probe, probe_sel, common)
         matches = list(map(positions.get, probe_keys))
         if None in matches:
             if probe_sel is None:
@@ -581,6 +705,7 @@ def _hash_probe(
             probe_rows = probe_sel  # every probe row matched, in order
             build_positions = matches
     else:
+        probe_keys = _key_arrays(probe, probe_sel, common)
         by_key: dict = {}
         for j, key in enumerate(build_keys):
             by_key.setdefault(key, []).append(j)
@@ -605,6 +730,41 @@ def _hash_probe(
     else:
         build_rows = build_positions
     return build_rows, probe_rows, unique
+
+
+def _postings_probe(
+    build_keys: list, column: Column, nrows: int
+) -> Optional[Tuple[List[int], List[int]]]:
+    """``(probe_rows, build_positions)`` through the postings of the
+    whole probe ``column``, for unique ``build_keys``; ``None`` where
+    the map probe is the cheaper one.
+
+    Each build key is looked up once in the probe column's domain and
+    brings the rows that hold its code, so the work is the build side
+    plus the output.  A plain column has no postings, and a probe in
+    which every row matches is the map probe's identity vector, which
+    gathers nothing.
+    """
+    if not column.is_encoded:
+        return None
+    code_for = column.code_for
+    matched = [
+        (j, code)
+        for j, code in enumerate(map(code_for, build_keys))
+        if code is not None
+    ]
+    if len(matched) == len(column.domain):
+        return None  # every code has a build key, so every row matches
+    positions, offsets = column.postings()
+    if sum(offsets[code + 1] - offsets[code] for __, code in matched) == nrows:
+        return None
+    probe_rows: List[int] = []
+    build_positions: List[int] = []
+    for j, code in matched:
+        start, end = offsets[code], offsets[code + 1]
+        probe_rows += positions[start:end]
+        build_positions += [j] * (end - start)
+    return probe_rows, build_positions
 
 
 def _cross_rows(

@@ -226,7 +226,9 @@ class Scan(Plan):
         return _relation(catalog, self.name)
 
     def _kernel(self, catalog):
-        rel = _columnar.scan(_relation(catalog, self.name))
+        rel = _columnar.scan(
+            _relation(catalog, self.name), _fresh_stats(catalog, self.name)
+        )
         return (rel, None), _columnar.batch_count(rel.nrows)
 
     def estimate(self, catalog) -> float:
@@ -535,6 +537,15 @@ def _catalog_stats(catalog, name: str):
     """
     stats_for = getattr(catalog, "stats_for", None)
     return stats_for(name) if stats_for is not None else None
+
+
+def _fresh_stats(catalog, name: str):
+    """``name``'s statistics if they describe the relation bound now
+    (taken at its current bind epoch), else ``None``."""
+    stats = _catalog_stats(catalog, name)
+    if stats is None or stats.epoch != _catalog_epoch(catalog, name):
+        return None
+    return stats
 
 
 def _base_column_stats(plan: Plan, catalog, attribute: str):
