@@ -683,14 +683,36 @@ def _mentions_recvar(t: Type, name: str) -> bool:
     return False
 
 
+#: One declaration's binding: the environment table it extends
+#: (``"values"`` or ``"type_names"``), the name, and the type bound.
+Binding = Tuple[str, str, Type]
+
+
 def check_program(
-    program: ast.Program, env: Optional[CheckEnv] = None
+    program: ast.Program,
+    env: Optional[CheckEnv] = None,
+    bindings: Optional[List[Optional[Binding]]] = None,
 ) -> Tuple[Optional[Type], CheckEnv]:
-    """Check a whole program; returns (last expression's type, final env)."""
+    """Check a whole program; returns (last expression's type, final env).
+
+    If ``bindings`` is a list, it receives one entry per declaration, in
+    order: the :data:`Binding` that declaration added to ``env``, or
+    ``None`` for an expression statement.
+    """
     env = env if env is not None else CheckEnv.initial()
     last: Optional[Type] = None
     for decl in program.declarations:
         result = check_decl(decl, env)
         if result is not None:
             last = result
+        if bindings is not None:
+            bindings.append(_binding_of(decl, env))
     return last, env
+
+
+def _binding_of(decl: ast.Decl, env: CheckEnv) -> Optional[Binding]:
+    if isinstance(decl, ast.TypeDecl):
+        return "type_names", decl.name, env.type_names[decl.name]
+    if isinstance(decl, (ast.LetDecl, ast.FunDecl)):
+        return "values", decl.name, env.values[decl.name]
+    return None

@@ -26,8 +26,9 @@ from repro.core.relation import GeneralizedRelation
 from repro.errors import EvalError, NotAValueError, TypeSystemError
 from repro.extents.database import Database
 from repro.lang import ast
-from repro.lang.checker import CheckEnv, check_program, resolve_type
-from repro.lang.parser import parse_program
+from repro.lang.checker import Binding, CheckEnv, check_program, resolve_type
+from repro.lang.lexer import Literal, literal_shape
+from repro.lang.parser import ProgramTemplate, parse_program
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.persistence.mvcc import TransactionManager
@@ -394,6 +395,48 @@ class RunResult:
     output: List[str]
 
 
+#: How many statement shapes one session keeps checked; past it, the
+#: least recently used shape goes first.
+SHAPE_CACHE_SIZE = 128
+
+
+class _Checked:
+    """A statement that passed the check, kept under its shape.
+
+    It holds what the check derived — the last expression's type and
+    each declaration's binding — and, until the shape recurs, the
+    program and the literals it was written with; the template is built
+    from those then (``False`` if it cannot be).
+    """
+
+    __slots__ = ("last_type", "bindings", "program", "literals", "template")
+
+    def __init__(
+        self,
+        last_type: Optional[Type],
+        bindings: Tuple[Optional[Binding], ...],
+        program: ast.Program,
+        literals: List[Literal],
+    ):
+        self.last_type = last_type
+        self.bindings = bindings
+        self.program: Optional[ast.Program] = program
+        self.literals = literals
+        self.template: Union[None, bool, ProgramTemplate] = None
+
+    def instantiate(self, literals: List[Literal]) -> Optional[ast.Program]:
+        """This statement with ``literals`` in its slots, or ``None``."""
+        if self.template is None:
+            assert self.program is not None
+            self.template = (
+                ProgramTemplate.build(self.program, self.literals) or False
+            )
+            self.program = None
+        if self.template is False or len(literals) != self.template.slots:
+            return None
+        return self.template.instantiate(literals)
+
+
 class Interpreter:
     """A DBPL session: checked declarations accumulate across ``run`` calls.
 
@@ -402,6 +445,17 @@ class Interpreter:
     sessions share the broker's), a path or :class:`LogStore` to open one
     over, or ``None`` for a private in-memory one; bindings stay private.
     ``session_id`` labels it in journal tags, ``stat`` frames and txns.
+
+    A statement is checked against a scratch copy of the session's type
+    environment, and each declaration's binding is committed once that
+    declaration has evaluated, so a failed run leaves the environment
+    as the declarations that ran left it.  Each commit that changes a
+    binding moves ``_env_version``.  A statement whose shape (its text
+    with literals abstracted to their kinds,
+    :func:`~repro.lang.lexer.literal_shape`) was checked at the current
+    version is neither parsed nor checked again: the checker types a
+    literal by its kind alone, so the same shape in the same environment
+    has the same type and bindings.
     """
 
     def __init__(
@@ -412,6 +466,8 @@ class Interpreter:
         self.output: List[str] = []
         self.session_id = session_id
         self._check_env = CheckEnv.initial()
+        self._env_version = 0
+        self._shapes: Dict[Tuple[str, int], _Checked] = {}
         self._globals = Env()
         # The Amber front every extern and intern goes through, and
         # whose begin/commit/abort scope them in one transaction.
@@ -429,38 +485,98 @@ class Interpreter:
         ill-typed program.  With tracing on, each run records a
         ``lang.run`` span with nested ``lang.parse``/``lang.check``/
         ``lang.eval`` phases (persistence and relation spans hang off
-        the eval phase).
+        the eval phase); a statement whose shape was checked before
+        records only ``lang.eval``, under a ``lang.run`` tagged
+        ``shape=hit``.
         """
         _metrics.REGISTRY.counter("lang.runs").inc()
         tracer = _trace.CURRENT
         if not tracer.enabled:
-            program = parse_program(source)
-            last_type, __ = check_program(program, self._check_env)
-            value: object = None
-            for decl in program.declarations:
-                value = self._exec_decl(decl)
-            return RunResult(value, last_type, list(self.output))
-        with tracer.span("lang.run") as run_span:
-            with tracer.span("lang.parse"):
+            key, literals, recalled = self._recall(source)
+            if recalled is None:
                 program = parse_program(source)
-            with tracer.span("lang.check"):
-                last_type, __ = check_program(program, self._check_env)
+                recalled = program, self._check(program, key, literals)
+            return self._evaluate(*recalled)
+        with tracer.span("lang.run") as run_span:
+            key, literals, recalled = self._recall(source)
+            if recalled is not None:
+                run_span.annotate(shape="hit")
+            else:
+                with tracer.span("lang.parse"):
+                    program = parse_program(source)
+                with tracer.span("lang.check"):
+                    recalled = program, self._check(program, key, literals)
             with tracer.span("lang.eval"):
-                value = None
-                for decl in program.declarations:
-                    value = self._exec_decl(decl)
-            run_span.annotate(declarations=len(program.declarations))
-        return RunResult(value, last_type, list(self.output))
+                result = self._evaluate(*recalled)
+            run_span.annotate(declarations=len(recalled[0].declarations))
+        return result
 
     def eval_expr(self, source: str) -> object:
         """Check and evaluate a single expression."""
         return self.run(source).value
 
+    # -- statements -------------------------------------------------------------------
+
+    def _recall(
+        self, source: str
+    ) -> Tuple[
+        Tuple[str, int], List[Literal], Optional[Tuple[ast.Program, _Checked]]
+    ]:
+        """``source``'s cache key and literals, and for a shape checked at
+        this version, the program to run and what its check derived."""
+        shape, literals = literal_shape(source)
+        key = (shape, self._env_version)
+        checked = self._shapes.get(key)
+        program = checked.instantiate(literals) if checked is not None else None
+        if program is None:
+            _metrics.REGISTRY.counter("lang.parses").inc()
+            return key, literals, None
+        del self._shapes[key]
+        self._shapes[key] = checked  # now the most recently used
+        return key, literals, (program, checked)
+
+    def _check(
+        self, program: ast.Program, key: Tuple[str, int], literals: List[Literal]
+    ) -> _Checked:
+        """Check ``program`` against a scratch copy of the session's
+        environment and keep what the check derived under ``key``."""
+        scratch = CheckEnv(
+            self._check_env.values,
+            self._check_env.type_names,
+            self._check_env.bounds,
+        )
+        bindings: List[Optional[Binding]] = []
+        last_type, __ = check_program(program, scratch, bindings)
+        checked = _Checked(last_type, tuple(bindings), program, literals)
+        shapes = self._shapes
+        if key not in shapes:  # else it is kept as one that cannot be cached
+            if len(shapes) >= SHAPE_CACHE_SIZE:
+                del shapes[next(iter(shapes))]
+            shapes[key] = checked
+        return checked
+
+    def _evaluate(self, program: ast.Program, checked: _Checked) -> RunResult:
+        """Run ``program``'s declarations, committing each one's binding
+        to the session's type environment once it has evaluated."""
+        value: object = None
+        for decl, binding in zip(program.declarations, checked.bindings):
+            value = self._exec_decl(decl)
+            if binding is not None:
+                self._commit(binding)
+        return RunResult(value, checked.last_type, list(self.output))
+
+    def _commit(self, binding: Binding) -> None:
+        table, name, bound = binding
+        names = getattr(self._check_env, table)
+        if names.get(name) != bound:
+            names[name] = bound
+            self._env_version += 1
+
     # -- declarations -----------------------------------------------------------------
 
     def _exec_decl(self, decl: ast.Decl) -> object:
         if isinstance(decl, ast.TypeDecl):
-            return None  # types were recorded by the checker
+            return None  # the type is committed with the binding
         if isinstance(decl, ast.LetDecl):
             self._globals.define(decl.name, self._eval(decl.value, self._globals))
             return None

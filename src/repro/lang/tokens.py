@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Token kinds
 IDENT = "IDENT"
@@ -69,9 +69,12 @@ OPERATORS = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexical token with its source position (1-based)."""
+class Token(NamedTuple):
+    """One lexical token with its source position (1-based).
+
+    A named tuple: the lexer builds one per token, and a tuple's
+    constructor costs a fraction of a frozen dataclass's ``__init__``.
+    """
 
     kind: str
     text: str

@@ -139,12 +139,12 @@ class TestSessionIsolation:
 
 
 class TestCheckerSessionConsistency:
-    def test_checker_binding_precedes_eval_failure(self):
-        """A checked `let` whose evaluation raises leaves the *checker*
-        binding in place but no runtime binding — the next use fails at
-        run time, not silently."""
+    def test_a_let_whose_evaluation_fails_binds_nothing(self):
+        """A checked `let` whose evaluation raises commits no binding,
+        neither to the checker nor at run time: the next use is a type
+        error, reported before anything runs."""
         interp = Interpreter()
         with pytest.raises(EvalError):
             interp.run("let x = 1 / 0;")
-        with pytest.raises(EvalError):
+        with pytest.raises(TypeCheckError, match="unbound variable 'x'"):
             interp.run("x")

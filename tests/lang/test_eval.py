@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import EvalError, TypeCheckError
+from repro.errors import EvalError, LexError, TypeCheckError
 from repro.lang.eval import Interpreter, RuntimeRecord, format_value, run_program
 from repro.persistence.mvcc import TransactionManager
 from repro.persistence.store import LogStore
@@ -303,3 +303,51 @@ class TestSessionsAndOutput:
     def test_result_reports_type(self):
         result = run_program("1 + 1")
         assert result.type == INT
+
+
+class TestFailedRunsLeaveTheEnvironment:
+    """A run that fails commits only the bindings of the declarations
+    that evaluated, so the checker never trusts a binding that is not
+    there, or not of that type, at run time."""
+
+    def test_a_failed_check_binds_nothing(self):
+        interp = Interpreter()
+        interp.run('let a = "s";')
+        with pytest.raises(TypeCheckError):
+            interp.run('let a = 1; a + "x"')
+        with pytest.raises(TypeCheckError, match="'\\*' left operand has type String"):
+            interp.run("a * 3")
+        with pytest.raises(TypeCheckError, match="'\\+' left operand has type String"):
+            interp.run("a + 1")
+        result = interp.run("a")
+        assert (result.value, str(result.type)) == ("s", "String")
+
+    def test_a_failed_evaluation_binds_only_what_ran(self):
+        interp = Interpreter()
+        with pytest.raises(EvalError, match="head of an empty list"):
+            interp.run("let r = 1; let s = head([]);")
+        with pytest.raises(TypeCheckError, match="unbound variable 's'"):
+            interp.run("s")
+        assert interp.run("r").value == 1
+
+    def test_a_redeclared_type_is_committed_where_it_evaluates(self):
+        interp = Interpreter()
+        interp.run("type T = Int")
+        interp.run('extern("k", dynamic "text");')
+        # The coercion's target is resolved when it runs: T is still Int
+        # there, as the checker saw it, though the program goes on to
+        # redeclare T.
+        with pytest.raises(EvalError, match="not a subtype of Int"):
+            interp.run('coerce intern("k") to T; type T = String')
+        # And the redeclaration never ran, so T is still Int.
+        assert interp.run("let n: T = 1; n").type == INT
+
+
+class TestNumberLexing:
+    def test_a_superscript_digit_is_not_a_number(self):
+        with pytest.raises(LexError, match="unexpected character '²'") as excinfo:
+            Interpreter().run("1²")
+        assert (excinfo.value.line, excinfo.value.column) == (1, 2)
+
+    def test_decimal_digits_of_any_script_are_numbers(self):
+        assert value_of("\u0663 + 1") == 4

@@ -315,6 +315,37 @@ class TestIsolationOverTheWire:
                 assert reply["value"] == "6"
 
 
+class TestFailedRunsOverTheWire:
+    def test_a_failed_check_binds_nothing(self):
+        with ServerThread() as server:
+            with Client(server.host, server.port) as client:
+                client.run('let a = "s";')
+                for source in ('let a = 1; a + "x"', "a * 3", "a + 1"):
+                    with pytest.raises(RemoteError) as excinfo:
+                        client.run(source)
+                    assert excinfo.value.kind == "TypeCheckError"
+                assert client.run("a")["value"] == '"s"'
+
+    def test_a_failed_evaluation_binds_only_what_ran(self):
+        with ServerThread() as server:
+            with Client(server.host, server.port) as client:
+                with pytest.raises(RemoteError) as excinfo:
+                    client.run("let r = 1; let s = head([]);")
+                assert excinfo.value.kind == "EvalError"
+                with pytest.raises(RemoteError) as excinfo:
+                    client.run("s")
+                assert excinfo.value.kind == "TypeCheckError"
+                assert client.run("r")["value"] == "1"
+
+    def test_a_superscript_digit_is_a_lex_error(self):
+        with ServerThread() as server:
+            with Client(server.host, server.port) as client:
+                with pytest.raises(RemoteError) as excinfo:
+                    client.run("1²")
+                assert excinfo.value.kind == "LexError"
+                assert "unexpected character '²'" in str(excinfo.value)
+
+
 class TestAdmission:
     def test_connection_limit_bounces_with_busy(self):
         with ServerThread(limit=1, queue_limit=0) as server:
